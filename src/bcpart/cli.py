@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: generate, solve, verify, reduce, bench, oracle.  Every command
-exits 0 on success; failures print one JSON object {"error": ...} to stderr
-and exit nonzero (verify exits 1 when the solution is infeasible).
+exits 0 on success; failures (unreadable or malformed input, invalid
+parameters, instance generation out of budget) print one JSON object
+{"error": ...} to stderr and exit 2.  verify exits 1 when the solution is
+infeasible.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import json
 import sys
 
 from .bench import run_bench, rows_to_csv
-from .generate import GenConfig, certificate_solution, generate_instance, reduce_mpgsd_star
+from .generate import (GenConfig, GenerationError, certificate_solution, generate_instance,
+                       reduce_mpgsd_star)
 from .graph import load_instance, save_instance
 from .local_search import GROW_N, GROW_R, local_search
 from .solver import (SolverConfig, generate_solution, load_solution,
@@ -191,7 +194,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, GenerationError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

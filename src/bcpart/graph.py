@@ -315,26 +315,54 @@ def instance_to_json(instance: Instance) -> str:
     return json.dumps(payload)
 
 
+_TYPE_NAMES = {int: "an integer", list: "a list", dict: "an object",
+               (int, float): "a number"}
+
+
+def check_type(value, kind, what: str):
+    """Return a parsed JSON value if it has the expected type, else raise
+    ValueError.  `kind` is int, list, dict or (int, float); booleans never
+    count as numbers."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_TYPE_NAMES[kind]}, not {type(value).__name__}")
+    return value
+
+
 def instance_from_json(text: str) -> Instance:
-    """Parse the canonical instance JSON; edge order in the file is kept."""
-    payload = json.loads(text)
-    nodes = payload["nodes"]
+    """Parse the canonical instance JSON; edge order in the file is kept.
+
+    Any departure from the layout written by instance_to_json (a missing
+    field, a wrong type, bad ids, edges or roots) raises ValueError.
+    """
+    payload = check_type(json.loads(text), dict, "instance")
+    nodes = check_type(payload.get("nodes"), list, "nodes")
     n = len(nodes)
-    ids = [entry["id"] for entry in nodes]
+    ids = [check_type(check_type(entry, dict, "node").get("id"), int, "node id")
+           for entry in nodes]
     if sorted(ids) != list(range(n)):
         raise ValueError("node ids must be exactly 0..n-1")
     coords = None
     if nodes and "x" in nodes[0]:
-        by_id = {entry["id"]: (entry["x"], entry["y"]) for entry in nodes}
+        by_id = {entry["id"]: (check_type(entry.get("x"), (int, float), "node x"),
+                               check_type(entry.get("y"), (int, float), "node y"))
+                 for entry in nodes}
         coords = [by_id[i] for i in range(n)]
-    edges = [(int(u), int(v)) for u, v in payload["edges"]]
+    edges = []
+    for edge in check_type(payload.get("edges"), list, "edges"):
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise ValueError(f"edge {edge!r} must be a pair [u, v]")
+        edges.append((check_type(edge[0], int, "edge endpoint"),
+                      check_type(edge[1], int, "edge endpoint")))
     graph = build_graph(n, edges, coords=coords)
+    optimum = payload.get("optimum")
+    meta = payload.get("meta")
     return Instance(
         graph=graph,
-        roots=tuple(int(r) for r in payload["roots"]),
-        capacity=int(payload["capacity"]),
-        known_optimum=payload.get("optimum"),
-        meta=payload.get("meta"),
+        roots=tuple(check_type(r, int, "root")
+                    for r in check_type(payload.get("roots"), list, "roots")),
+        capacity=check_type(payload.get("capacity"), int, "capacity"),
+        known_optimum=None if optimum is None else check_type(optimum, int, "optimum"),
+        meta=None if meta is None else check_type(meta, dict, "meta"),
     )
 
 

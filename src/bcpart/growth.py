@@ -80,9 +80,6 @@ class GrowthState:
     def subgraph_nodes(self) -> list[int]:
         return list(self.members)
 
-    def can_expand(self) -> bool:
-        return bool(self.queue) and self.size < self.capacity
-
 
 def init_growth(g: Graph, root: int, capacity: int, accept_prob: float,
                 available: bytearray | None = None) -> GrowthState:

@@ -12,11 +12,20 @@ extras.  The neighborhood one ("grow-n") walks a connected set in the
 subgraph neighbor graph, whose edges join subgraphs that either share a
 graph edge directly or both touch the same connected pocket of unassigned
 nodes.
+
+GROW-N RNG contract: each walk attempt makes one draw,
+rng.randrange(len(seeds)), to pick its seed among the non-full subgraphs in
+index order, then one draw per step, rng.randrange(len(fringe)), that indexes
+the fringe (the members' neighbors outside the set) sorted ascending.  The
+walk updates that sorted fringe as members join instead of rebuilding it,
+so a step costs O(deg log |fringe|) comparisons; any rewrite must keep these
+draws in this order, or every seeded output changes.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from random import Random
 
@@ -202,17 +211,26 @@ def select_regrow_set(instance: Instance, solution: Solution,
         return RegrowSet(frozenset(members))
     hits_set = set(frontier_hits)
     adjacency = neighbor_graph.adjacency
+    neighbors = [adjacency.get(i, ()) for i in range(k)]
     size_goal = target
     while size_goal <= k:
         for _ in range(config.grow_n_attempts):
-            members = {seeds[rng.randrange(len(seeds))]}
+            u = seeds[rng.randrange(len(seeds))]
+            members = {u}
+            # fringe: the members' neighbors outside the set, kept ascending;
+            # each new member adds its unseen neighbors (seen = members | fringe)
+            seen = {u}
+            fringe: list[int] = []
             while len(members) < size_goal:
-                fringe = sorted(
-                    {w for u in members for w in adjacency.get(u, ())} - members)
+                for w in neighbors[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        insort(fringe, w)
                 if not fringe:
                     break
-                members.add(fringe[rng.randrange(len(fringe))])
-            if members & hits_set:
+                u = fringe.pop(rng.randrange(len(fringe)))
+                members.add(u)
+            if not hits_set.isdisjoint(members):
                 return RegrowSet(frozenset(members))
         size_goal += 1
     return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .graph import Graph, Instance
+from .graph import Graph, Instance, check_type
 from .growth import (
     SINGLE_EAR,
     GrowthState,
@@ -150,9 +150,12 @@ def solution_to_json(solution: Solution, seed: int) -> str:
 
 
 def solution_from_json(text: str) -> tuple[Solution, int | None]:
-    payload = json.loads(text)
-    sol = Solution(tuple(int(a) for a in payload["assignment"]))
-    return sol, payload.get("seed")
+    """Parse a solution; a missing field or a wrong type raises ValueError."""
+    payload = check_type(json.loads(text), dict, "solution")
+    assignment = check_type(payload.get("assignment"), list, "assignment")
+    sol = Solution(tuple(check_type(a, int, "assignment entry") for a in assignment))
+    seed = payload.get("seed")
+    return sol, None if seed is None else check_type(seed, int, "seed")
 
 
 def save_solution(solution: Solution, seed: int, path) -> None:

@@ -2,7 +2,8 @@
 
 Everything here is written from the definitions, on purpose sharing no code
 with src/: connectivity by plain BFS, bi-connectivity by delete-one-vertex
-connectivity, optima by exhaustive labeling, distances by multi-source BFS.
+connectivity, optima by exhaustive labeling, distances by multi-source BFS,
+and the GROW-N walk in its original rebuild-every-step form.
 Slow is fine; these only run on small inputs.
 """
 
@@ -184,6 +185,28 @@ def unassigned_path_exists(graph, assignment, i, j) -> bool:
                 seen.add(v)
                 todo.append(v)
     return False
+
+
+def ref_grow_n_walk(adjacency, seeds, frontier_hits, target, k, attempts, rng):
+    """The first release's GROW-N regrow-set walk, kept verbatim as the
+    reference for the incremental one: before every draw the fringe is
+    rebuilt from all members' neighbors and sorted.  Returns the member set,
+    or None when no walk of any size up to k touches a frontier hit."""
+    hits_set = set(frontier_hits)
+    size_goal = target
+    while size_goal <= k:
+        for _ in range(attempts):
+            members = {seeds[rng.randrange(len(seeds))]}
+            while len(members) < size_goal:
+                fringe = sorted(
+                    {w for u in members for w in adjacency.get(u, ())} - members)
+                if not fringe:
+                    break
+                members.add(fringe[rng.randrange(len(fringe))])
+            if members & hits_set:
+                return frozenset(members)
+        size_goal += 1
+    return None
 
 
 def random_graph(rng: random.Random, node_count: int, edge_prob: float):

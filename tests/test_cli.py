@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from bcpart import load_instance, load_solution, verify_solution
+import bcpart
+from bcpart import (GenerationError, instance_from_json, load_instance, load_solution,
+                    solution_from_json, verify_solution)
 from bcpart.cli import main
 
 
@@ -163,9 +167,88 @@ def test_bad_bench_mode_gives_json_error(tmp_path, capsys):
 def test_console_entry_point(tmp_path):
     # one end-to-end subprocess run through the installed script
     out = tmp_path / "inst.json"
+    # the child imports the same bcpart as this process, installed or not
+    src = str(Path(bcpart.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "bcpart.cli", "generate", "--n", "2", "--m", "5",
          "--seed", "0", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["optimum"] == 10
+
+
+TRIANGLE = {"nodes": [{"id": 0}, {"id": 1}, {"id": 2}],
+            "edges": [[0, 1], [1, 2], [0, 2]], "roots": [0], "capacity": 3}
+
+BAD_INSTANCES = {
+    "payload-not-object": [TRIANGLE],
+    "nodes-not-list": {**TRIANGLE, "nodes": 5},
+    "nodes-missing": {k: v for k, v in TRIANGLE.items() if k != "nodes"},
+    "node-not-object": {**TRIANGLE, "nodes": [0, 1, 2]},
+    "node-id-string": {**TRIANGLE, "nodes": [{"id": "0"}, {"id": 1}, {"id": 2}]},
+    "node-x-string": {**TRIANGLE, "nodes": [{"id": i, "x": "a", "y": 0} for i in range(3)]},
+    "edges-not-list": {**TRIANGLE, "edges": 3},
+    "edge-not-pair": {**TRIANGLE, "edges": [[0, 1, 2]]},
+    "edge-endpoint-float": {**TRIANGLE, "edges": [[0, 1.5]]},
+    "roots-not-list": {**TRIANGLE, "roots": 0},
+    "root-string": {**TRIANGLE, "roots": ["0"]},
+    "capacity-string": {**TRIANGLE, "capacity": "3"},
+    "capacity-float": {**TRIANGLE, "capacity": 3.0},
+    "capacity-missing": {k: v for k, v in TRIANGLE.items() if k != "capacity"},
+    "optimum-string": {**TRIANGLE, "optimum": "x"},
+    "optimum-bool": {**TRIANGLE, "optimum": True},
+    "meta-not-object": {**TRIANGLE, "meta": [1]},
+}
+
+
+def test_triangle_instance_is_valid(tmp_path, capsys):
+    # the base of every malformed case below loads and solves
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps({**TRIANGLE, "optimum": 3, "meta": {}}))
+    code, stdout, _ = run_cli(capsys, "solve", "--instance", str(path), "--max-iters", "5")
+    assert code == 0 and json.loads(stdout.splitlines()[0])["objective"] == 3
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+def test_malformed_instance_gives_value_error_and_json_exit_2(case, tmp_path, capsys):
+    text = json.dumps(BAD_INSTANCES[case])
+    with pytest.raises(ValueError):
+        instance_from_json(text)
+    path = tmp_path / "i.json"
+    path.write_text(text)
+    for command in ("solve", "oracle"):
+        code, stdout, stderr = run_cli(capsys, command, "--instance", str(path))
+        assert code == 2 and stdout == ""
+        assert "error" in json.loads(stderr)
+
+
+@pytest.mark.parametrize("payload", [
+    {"assignment": 5},
+    {"assignment": [0, "0", -1]},
+    {"assignment": [0, 0, 0], "seed": "7"},
+    [0, 0, 0],
+])
+def test_malformed_solution_gives_value_error_and_json_exit_2(payload, tmp_path, capsys):
+    text = json.dumps(payload)
+    with pytest.raises(ValueError):
+        solution_from_json(text)
+    inst_path = tmp_path / "i.json"
+    inst_path.write_text(json.dumps(TRIANGLE))
+    sol_path = tmp_path / "s.json"
+    sol_path.write_text(text)
+    code, _, stderr = run_cli(capsys, "verify", "--instance", str(inst_path),
+                              "--solution", str(sol_path))
+    assert code == 2
+    assert "error" in json.loads(stderr)
+
+
+def test_generation_failure_gives_json_exit_2(tmp_path, capsys, monkeypatch):
+    def out_of_budget(cfg):
+        raise GenerationError("block sampling exceeded its attempt budget")
+    monkeypatch.setattr("bcpart.cli.generate_instance", out_of_budget)
+    code, _, stderr = run_cli(capsys, "generate", "--n", "2", "--m", "5",
+                              "--out", str(tmp_path / "i.json"))
+    assert code == 2
+    assert "budget" in json.loads(stderr)["error"]

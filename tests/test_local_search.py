@@ -1,11 +1,14 @@
 import random
 
-from bcpart import (GROW_N, GROW_R, Instance, Solution, SolverConfig,
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bcpart import (GROW_N, GROW_R, Instance, NeighborGraph, Solution, SolverConfig,
                     build_graph, build_neighbor_graph, generate_solution,
                     local_search, nonlocated, regrow_partial, select_regrow_set,
                     subgraph_frontier, verify_solution)
 from bcpart.local_search import _frontier_hits
-from oracles import random_instance, unassigned_path_exists
+from oracles import random_instance, ref_grow_n_walk, unassigned_path_exists
 
 
 def three_triangles():
@@ -173,6 +176,62 @@ def test_select_grow_n_members_connected():
                     reach.add(a)
                     todo.append(a)
         assert reach == picked.members
+
+
+CAPACITY = 10
+
+
+@st.composite
+def walk_inputs(draw):
+    """A subgraph neighbor graph with seeds (non-full subgraphs) and
+    frontier hits.  "far-hit" is a path with one seed at one end and one hit
+    at the other, which forces the size goal up to k; "unreachable" puts the
+    only hits in a component no seed can reach, so the answer is None."""
+    k = draw(st.integers(2, 30))
+    shape = draw(st.sampled_from(["random", "far-hit", "unreachable"]))
+    if shape != "random":
+        order = draw(st.permutations(range(k)))
+    if shape == "random":
+        # a per-graph edge probability reaches both sparse, disconnected
+        # graphs and dense ones; plain edge lists stay near-empty
+        density = draw(st.floats(0.0, 0.6))
+        rnd = draw(st.randoms(use_true_random=False))
+        edges = [(a, b) for a in range(k) for b in range(a + 1, k)
+                 if rnd.random() < density]
+        seeds = draw(st.lists(st.sampled_from(range(k)), min_size=1, unique=True))
+        hits = draw(st.lists(st.sampled_from(range(k)), min_size=1, unique=True))
+    elif shape == "far-hit":
+        edges = [(order[i], order[i + 1]) for i in range(k - 1)]
+        seeds, hits = [order[0]], [order[-1]]
+    else:
+        cut = draw(st.integers(1, k - 1))
+        edges = [(order[i], order[i + 1]) for i in range(k - 1) if i != cut - 1]
+        seeds = draw(st.lists(st.sampled_from(order[:cut]), min_size=1, unique=True))
+        hits = draw(st.lists(st.sampled_from(order[cut:]), min_size=1, unique=True))
+    adjacency: dict[int, set[int]] = {}
+    for a, b in edges:
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    adjacency = {i: tuple(sorted(vs)) for i, vs in adjacency.items()}
+    sizes = [CAPACITY - 1 if i in seeds else CAPACITY for i in range(k)]
+    return k, adjacency, sizes, sorted(hits)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(walk_inputs(), st.integers(1, 12), st.integers(1, 50), st.integers(0, 2**32))
+def test_grow_n_walk_matches_reference_draw_for_draw(inputs, m, attempts, seed):
+    k, adjacency, sizes, hits = inputs
+    inst = Instance(graph=build_graph(k, []), roots=tuple(range(k)), capacity=CAPACITY)
+    ng = NeighborGraph(k, frozenset(), frozenset(), adjacency)
+    config = SolverConfig(grow_n_attempts=attempts)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    picked = select_regrow_set(inst, Solution(tuple(range(k))), ng, m, GROW_N,
+                               config, rng, sizes=sizes, frontier_hits=hits)
+    seeds = [i for i in range(k) if sizes[i] < CAPACITY]
+    expected = ref_grow_n_walk(adjacency, seeds, hits, min(m, k), k, attempts, ref_rng)
+    assert (None if picked is None else picked.members) == expected
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_regrow_never_touches_outside_subgraphs():
