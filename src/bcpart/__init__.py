@@ -7,16 +7,12 @@ oracle, known-optimum instance generation, and a batch bench harness.
 
 from .bench import BenchRow, CSV_HEADER, rows_to_csv, run_bench
 from .generate import (GenConfig, GeneratedInstance, GenerationError,
-                       certificate_solution, generate_block, generate_instance,
-                       reduce_mpgsd_star)
+                       certificate_solution, generate_instance, reduce_mpgsd_star)
 from .graph import (Graph, Instance, articulation_points, biconnected_components,
                     build_graph, disc_radius, instance_from_json, instance_to_json,
                     is_biconnected, load_instance, save_instance, unit_disc_graph)
-from .growth import (Ear, GrowthState, SINGLE_EAR, TO_CAPACITY, grow, init_growth,
-                     try_make_ear, update_add_ear, update_bfs_tree_delete)
-from .local_search import (GROW_N, GROW_R, NeighborGraph, RegrowSet, SearchStats,
-                           build_neighbor_graph, local_search, nonlocated,
-                           regrow_partial, select_regrow_set, subgraph_frontier)
+from .growth import grow, init_growth
+from .local_search import GROW_N, GROW_R, SearchStats, local_search
 from .solver import (Solution, SolverConfig, generate_solution, load_solution,
                      objective, save_solution, solution_from_json, solution_to_json)
 from .verify import VerifyReport, Violation, brute_force_optimum, verify_solution
@@ -26,16 +22,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchRow", "CSV_HEADER", "rows_to_csv", "run_bench",
     "GenConfig", "GeneratedInstance", "GenerationError",
-    "certificate_solution", "generate_block", "generate_instance",
-    "reduce_mpgsd_star",
+    "certificate_solution", "generate_instance", "reduce_mpgsd_star",
     "Graph", "Instance", "articulation_points", "biconnected_components",
     "build_graph", "disc_radius", "instance_from_json", "instance_to_json",
     "is_biconnected", "load_instance", "save_instance", "unit_disc_graph",
-    "Ear", "GrowthState", "SINGLE_EAR", "TO_CAPACITY", "grow", "init_growth",
-    "try_make_ear", "update_add_ear", "update_bfs_tree_delete",
-    "GROW_N", "GROW_R", "NeighborGraph", "RegrowSet", "SearchStats",
-    "build_neighbor_graph", "local_search", "nonlocated",
-    "regrow_partial", "select_regrow_set", "subgraph_frontier",
+    "grow", "init_growth",
+    "GROW_N", "GROW_R", "SearchStats", "local_search",
     "Solution", "SolverConfig", "generate_solution", "load_solution",
     "objective", "save_solution", "solution_from_json", "solution_to_json",
     "VerifyReport", "Violation", "brute_force_optimum", "verify_solution",

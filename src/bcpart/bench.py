@@ -12,6 +12,9 @@ A bench spec is a dict (usually loaded from JSON):
       "config": {"p0": 0.5, "maxExpLength": 12, ...}   # optional overrides
     }
 
+The "config" keys are SolverConfig field names in camelCase; a key left out
+keeps the field's default.  A field of the wrong type raises ValueError.
+
 The solver seed for every run equals the instance seed, so a spec pins the
 whole experiment; rows come out in (pair, mode) order.  Timing columns are
 wall-clock and can be zeroed (include_timing=False) when byte-stable output
@@ -23,9 +26,10 @@ from __future__ import annotations
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .generate import GenConfig, GenerationError, generate_instance
+from .graph import check_type
 from .local_search import GROW_N, GROW_R, local_search
 from .solver import SolverConfig
 
@@ -57,27 +61,28 @@ class BenchRow:
                 f"{self.avg_time_ms:.1f}")
 
 
-def _config_from_spec(cfg: dict, seed: int) -> SolverConfig:
-    return SolverConfig(
-        p0=cfg.get("p0", 0.5),
-        max_exp_length=cfg.get("maxExpLength", 12),
-        regrow_size=cfg.get("regrowSize", 9),
-        max_iterations=cfg.get("maxIterations", 10_000),
-        stagnation_limit=cfg.get("stagnationLimit", 2_000),
-        grow_n_attempts=cfg.get("growNAttempts", 50),
-        seed=seed,
-    )
+def _config_from_spec(cfg: dict) -> SolverConfig:
+    """SolverConfig from a spec's "config" object.  The seed is not read
+    here: every run uses its instance seed."""
+    kwargs = {}
+    for f in fields(SolverConfig):
+        head, *rest = f.name.split("_")
+        key = head + "".join(part.capitalize() for part in rest)
+        if f.name != "seed" and key in cfg:
+            kind = (int, float) if isinstance(f.default, float) else int
+            kwargs[f.name] = check_type(cfg[key], kind, f"config {key}")
+    return SolverConfig(**kwargs)
 
 
 def _run_one(job) -> tuple | None:
-    n, capacity, alpha, seed, mode, cfg_dict = job
+    n, capacity, alpha, seed, mode, base_config = job
     try:
         gen = generate_instance(GenConfig(n=n, capacity=capacity, alpha=alpha, seed=seed))
     except GenerationError as exc:
         print(f"skip n={n} M={capacity} seed={seed}: {exc}", file=sys.stderr)
         return None
     instance = gen.instance
-    config = _config_from_spec(cfg_dict, seed)
+    config = replace(base_config, seed=seed)
     best, stats = local_search(instance, config, mode)
     opt = instance.known_optimum
     err_pct = (opt - best.objective) / opt * 100.0
@@ -85,20 +90,30 @@ def _run_one(job) -> tuple | None:
 
 
 def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list[BenchRow]:
-    """Execute a bench spec; returns rows in (pair, mode) order."""
-    pairs = [(int(n), int(m)) for n, m in spec["pairs"]]
-    alpha = float(spec.get("alpha", 2.0))
-    count = int(spec.get("instancesPerPair", 10))
-    base_seed = int(spec.get("baseSeed", 0))
+    """Execute a bench spec; returns rows in (pair, mode) order.
+
+    A spec field of the wrong type or an unknown mode raises ValueError
+    before any instance is generated.
+    """
+    check_type(spec, dict, "bench spec")
+    pairs = []
+    for pair in check_type(spec.get("pairs"), list, "pairs"):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"pair {pair!r} must be a pair [n, M]")
+        pairs.append((check_type(pair[0], int, "pair n"), check_type(pair[1], int, "pair M")))
+    alpha = float(check_type(spec.get("alpha", 2.0), (int, float), "alpha"))
+    count = check_type(spec.get("instancesPerPair", 10), int, "instancesPerPair")
+    base_seed = check_type(spec.get("baseSeed", 0), int, "baseSeed")
     modes = spec.get("modes") or [spec.get("mode", GROW_N)]
-    cfg_dict = spec.get("config", {})
+    for mode in check_type(modes, list, "modes"):
+        if check_type(mode, str, "mode") not in _MODE_LETTER:
+            raise ValueError(f"unknown mode in bench spec: {mode}")
+    config = _config_from_spec(check_type(spec.get("config", {}), dict, "config"))
     jobs = []
     for n, capacity in pairs:
         for mode in modes:
-            if mode not in _MODE_LETTER:
-                raise ValueError(f"unknown mode in bench spec: {mode}")
             for idx in range(count):
-                jobs.append((n, capacity, alpha, base_seed + idx, mode, cfg_dict))
+                jobs.append((n, capacity, alpha, base_seed + idx, mode, config))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs))

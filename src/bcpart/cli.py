@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .bench import run_bench, rows_to_csv
 from .generate import (GenConfig, GenerationError, certificate_solution, generate_instance,
                        reduce_mpgsd_star)
 from .graph import load_instance, save_instance
-from .local_search import GROW_N, GROW_R, local_search
+from .local_search import GROW_N, GROW_R, SearchStats, local_search
 from .solver import (SolverConfig, generate_solution, load_solution,
                      save_solution, solution_to_json)
 from .verify import brute_force_optimum, verify_solution
@@ -50,38 +51,25 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    config = SolverConfig(
-        p0=args.p0,
-        max_exp_length=args.max_exp_length,
-        regrow_size=args.regrow_size,
-        max_iterations=args.max_iters,
-        stagnation_limit=args.stagnation,
-        grow_n_attempts=args.grow_n_attempts,
-        seed=args.seed,
-    )
+    # flags left out keep the SolverConfig defaults
+    config = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)
+                             if getattr(args, f.name) is not None})
     if args.mode == SINGLE_PASS:
         import random
         import time
         start = time.perf_counter()
         solution = generate_solution(instance, config, random.Random(config.seed))
         millis = (time.perf_counter() - start) * 1000.0
-        stats = {
-            "bestObjective": solution.objective,
-            "iterations": 1,
-            "iterationOfBest": 1,
-            "wallMillis": millis,
-            "seed": config.seed,
-            "mode": SINGLE_PASS,
-            "totalMillis": millis,
-        }
+        stats = SearchStats(best_objective=solution.objective, iterations=1,
+                            iteration_of_best=1, wall_millis=millis, seed=config.seed,
+                            mode=SINGLE_PASS, total_millis=millis)
     else:
-        solution, search_stats = local_search(instance, config, args.mode)
-        stats = search_stats.as_dict()
+        solution, stats = local_search(instance, config, args.mode)
     if args.out:
         save_solution(solution, config.seed, args.out)
     else:
         print(solution_to_json(solution, config.seed))
-    print(json.dumps(stats))
+    print(json.dumps(stats.as_dict()))
     return 0
 
 
@@ -153,13 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--mode", choices=[GROW_R, GROW_N, SINGLE_PASS], default=GROW_N)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p0", type=float, default=0.5)
-    p.add_argument("--max-exp-length", type=int, default=12)
-    p.add_argument("--regrow-size", type=int, default=9)
-    p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--stagnation", type=int, default=2_000)
-    p.add_argument("--grow-n-attempts", type=int, default=50)
+    # solver knobs: dest is the SolverConfig field, the default is the field's
+    p.add_argument("--seed", type=int, dest="seed")
+    p.add_argument("--p0", type=float, dest="p0")
+    p.add_argument("--max-exp-length", type=int, dest="max_exp_length")
+    p.add_argument("--regrow-size", type=int, dest="regrow_size")
+    p.add_argument("--max-iters", type=int, dest="max_iterations")
+    p.add_argument("--stagnation", type=int, dest="stagnation_limit")
+    p.add_argument("--grow-n-attempts", type=int, dest="grow_n_attempts")
     p.add_argument("--out", default=None, help="solution JSON path (default: stdout)")
     p.set_defaults(func=_cmd_solve)
 

@@ -98,54 +98,72 @@ def _induced_adjacency(g: Graph, nodes):
     return node_set
 
 
-def articulation_points(g: Graph, nodes) -> set[int]:
-    """Cut vertices of the subgraph induced by `nodes`.
+def _blocks(g: Graph, node_set, start: int, disc: dict[int, int]):
+    """Blocks of the component of `start` in the subgraph induced by
+    `node_set`, by one iterative low-link DFS with a node stack (Tarjan
+    1972).
 
-    Works per connected component of the induced subgraph; empty input
-    gives an empty result.  Iterative low-link DFS.
+    Yields (p, block) each time a child subtree of p closes with
+    low[child] >= disc[p]: p separates that subtree from the rest, and
+    block lists the subtree nodes still on the stack plus p, which is one
+    bi-connected component (two nodes for a bridge).  `disc` collects
+    discovery numbers and is shared across calls so callers can walk every
+    component; a start with no neighbor in the set yields nothing.
     """
-    node_set = _induced_adjacency(g, nodes)
-    if not node_set:
-        return set()
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    cut: set[int] = set()
-    counter = 0
-    for start in node_set:
-        if start in disc:
-            continue
-        root_children = 0
-        disc[start] = low[start] = counter
-        counter += 1
-        # stack entries: (node, parent, iterator over neighbors)
-        stack = [(start, -1, iter(g.adjacency[start]))]
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v not in node_set:
-                    continue
-                if v not in disc:
-                    if u == start:
-                        root_children += 1
-                    disc[v] = low[v] = counter
-                    counter += 1
-                    stack.append((v, u, iter(g.adjacency[v])))
-                    advanced = True
-                    break
-                elif v != parent:
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
-            if advanced:
+    adjacency = g.adjacency
+    counter = len(disc)
+    disc[start] = counter
+    low = {start: counter}
+    counter += 1
+    nodes = [start]
+    # stack entries: (node, parent, iterator over neighbors, index in nodes)
+    stack = [(start, -1, iter(adjacency[start]), 0)]
+    while stack:
+        u, parent, it, pos = stack[-1]
+        for v in it:
+            if v not in node_set:
                 continue
+            if v not in disc:
+                disc[v] = low[v] = counter
+                counter += 1
+                stack.append((v, u, iter(adjacency[v]), len(nodes)))
+                nodes.append(v)
+                break
+            if v != parent and disc[v] < low[u]:
+                low[u] = disc[v]
+        else:  # no undiscovered neighbor left: u's subtree is done
             stack.pop()
             if stack:
                 p = stack[-1][0]
                 if low[u] < low[p]:
                     low[p] = low[u]
-                if p != start and low[u] >= disc[p]:
-                    cut.add(p)
-        if root_children >= 2:
+                if low[u] >= disc[p]:
+                    block = nodes[pos:]
+                    del nodes[pos:]
+                    block.append(p)
+                    yield p, block
+
+
+def articulation_points(g: Graph, nodes) -> set[int]:
+    """Cut vertices of the subgraph induced by `nodes`.
+
+    Works per connected component of the induced subgraph; empty input
+    gives an empty result.  A DFS root is a cut vertex when it closes two
+    or more blocks, any other node when it closes one.
+    """
+    node_set = _induced_adjacency(g, nodes)
+    disc: dict[int, int] = {}
+    cut: set[int] = set()
+    for start in node_set:
+        if start in disc:
+            continue
+        root_blocks = 0
+        for p, _block in _blocks(g, node_set, start, disc):
+            if p == start:
+                root_blocks += 1
+            else:
+                cut.add(p)
+        if root_blocks >= 2:
             cut.add(start)
     return cut
 
@@ -154,50 +172,14 @@ def is_biconnected(g: Graph, nodes) -> bool:
     """True iff the induced subgraph is connected and has no cut vertex.
 
     Size conventions: a single node is bi-connected, an empty set is not,
-    and a two-node subgraph never is.  Single low-link DFS, bails on the
-    first articulation point found.
+    and a two-node subgraph never is.  Stops at the first block the DFS
+    closes, which spans the whole set only when the set is bi-connected.
     """
     node_set = _induced_adjacency(g, nodes)
-    if len(node_set) == 0:
-        return False
-    if len(node_set) == 1:
-        return True
-    if len(node_set) == 2:
-        return False
-    start = next(iter(node_set))
-    disc = {start: 0}
-    low = {start: 0}
-    counter = 1
-    root_children = 0
-    stack = [(start, -1, iter(g.adjacency[start]))]
-    while stack:
-        u, parent, it = stack[-1]
-        advanced = False
-        for v in it:
-            if v not in node_set:
-                continue
-            if v not in disc:
-                if u == start:
-                    root_children += 1
-                    if root_children >= 2:
-                        return False
-                disc[v] = low[v] = counter
-                counter += 1
-                stack.append((v, u, iter(g.adjacency[v])))
-                advanced = True
-                break
-            elif v != parent and disc[v] < low[u]:
-                low[u] = disc[v]
-        if advanced:
-            continue
-        stack.pop()
-        if stack:
-            p = stack[-1][0]
-            if low[u] < low[p]:
-                low[p] = low[u]
-            if p != start and low[u] >= disc[p]:
-                return False
-    return len(disc) == len(node_set)
+    if len(node_set) < 3:
+        return len(node_set) == 1
+    first = next(_blocks(g, node_set, next(iter(node_set)), {}), None)
+    return first is not None and len(first[1]) == len(node_set)
 
 
 def biconnected_components(g: Graph, nodes=None) -> list[set[int]]:
@@ -208,51 +190,10 @@ def biconnected_components(g: Graph, nodes=None) -> list[set[int]]:
     """
     node_set = _induced_adjacency(g, nodes if nodes is not None else range(g.node_count))
     disc: dict[int, int] = {}
-    low: dict[int, int] = {}
     comps: list[set[int]] = []
-    counter = 0
     for start in node_set:
-        if start in disc:
-            continue
-        disc[start] = low[start] = counter
-        counter += 1
-        edge_stack: list[tuple[int, int]] = []
-        stack = [(start, -1, iter(g.adjacency[start]))]
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v not in node_set:
-                    continue
-                if v not in disc:
-                    edge_stack.append((u, v))
-                    disc[v] = low[v] = counter
-                    counter += 1
-                    stack.append((v, u, iter(g.adjacency[v])))
-                    advanced = True
-                    break
-                elif v != parent and disc[v] < disc[u]:
-                    # back edge to an ancestor, recorded once
-                    edge_stack.append((u, v))
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[u] < low[p]:
-                    low[p] = low[u]
-                if low[u] >= disc[p]:
-                    # u cannot reach above p: edges down to (p, u) are one component
-                    comp: set[int] = set()
-                    while True:
-                        a, b = edge_stack.pop()
-                        comp.add(a)
-                        comp.add(b)
-                        if (a, b) == (p, u):
-                            break
-                    comps.append(comp)
+        if start not in disc:
+            comps.extend(set(block) for _p, block in _blocks(g, node_set, start, disc))
     return comps
 
 
@@ -315,14 +256,14 @@ def instance_to_json(instance: Instance) -> str:
     return json.dumps(payload)
 
 
-_TYPE_NAMES = {int: "an integer", list: "a list", dict: "an object",
+_TYPE_NAMES = {int: "an integer", list: "a list", dict: "an object", str: "a string",
                (int, float): "a number"}
 
 
 def check_type(value, kind, what: str):
     """Return a parsed JSON value if it has the expected type, else raise
-    ValueError.  `kind` is int, list, dict or (int, float); booleans never
-    count as numbers."""
+    ValueError.  `kind` is int, list, dict, str or (int, float); booleans
+    never count as numbers."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{what} must be {_TYPE_NAMES[kind]}, not {type(value).__name__}")
     return value

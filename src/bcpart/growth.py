@@ -25,9 +25,6 @@ from .graph import Graph
 
 INF = 1 << 30
 
-TO_CAPACITY = "to-capacity"
-SINGLE_EAR = "single-ear"
-
 
 @dataclass
 class Ear:
@@ -249,19 +246,18 @@ def update_bfs_tree_delete(st: GrowthState, removed) -> None:
             ear_root[v] = v
 
 
-def grow(st: GrowthState, mode: str, rng) -> int:
-    """Run the growth loop; returns the number of nodes added to S.
+def grow(st: GrowthState, rng) -> int:
+    """Extend S by one ear; returns the number of nodes added, 0 when no
+    ear fits.
 
     Dequeued nodes are processed only when flagged for evaluation and when
     dist still fits the remaining capacity.  Scanning a node either extends
     the tree (unvisited available neighbors) or tests non-tree edges as
     ears; each valid ear is accepted with probability accept_prob (one RNG
-    draw per discovery).  `single-ear` mode returns right after the first
-    accepted ear with the scan left resumable; `to-capacity` keeps going
-    until the queue empties or S reaches capacity.
+    draw per discovery).  Returns right after the first accepted ear with
+    the scan left resumable, so repeated calls grow S ear by ear until the
+    queue empties or S reaches capacity.
     """
-    if mode not in (TO_CAPACITY, SINGLE_EAR):
-        raise ValueError(f"unknown grow mode: {mode}")
     adj = st.graph.adjacency
     parent = st.parent
     dist = st.dist
@@ -271,7 +267,6 @@ def grow(st: GrowthState, mode: str, rng) -> int:
     queue = st.queue
     accept_prob = st.accept_prob
     capacity = st.capacity
-    added_total = 0
     while queue:
         if st.size >= capacity:
             break
@@ -304,12 +299,8 @@ def grow(st: GrowthState, mode: str, rng) -> int:
                 if rng.random() <= accept_prob:
                     update_add_ear(st, ear)
                     st.last_ear = ear
-                    added_total += len(ear.added)
-                    if mode == SINGLE_EAR:
-                        # scan unfinished: cur was re-enqueued by the update
-                        # and keeps its evaluate flag
-                        return added_total
-                    if st.size >= capacity:
-                        return added_total
+                    # scan unfinished: cur was re-enqueued by the update
+                    # and keeps its evaluate flag
+                    return len(ear.added)
         evaluate[cur] = 0
-    return added_total
+    return 0

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from .graph import Instance
@@ -36,36 +36,9 @@ GROW_R = "grow-r"
 GROW_N = "grow-n"
 
 __all__ = [
-    "GROW_R", "GROW_N", "NeighborGraph", "RegrowSet", "SearchStats",
-    "nonlocated", "subgraph_frontier", "build_neighbor_graph",
+    "GROW_R", "GROW_N", "SearchStats", "build_neighbor_graph",
     "select_regrow_set", "regrow_partial", "local_search",
 ]
-
-
-@dataclass(frozen=True)
-class NeighborGraph:
-    """Adjacency between subgraphs: direct edges, plus pairs connected
-    through a shared pocket of unassigned nodes."""
-
-    subgraph_count: int
-    direct: frozenset[tuple[int, int]]
-    via_unassigned: frozenset[tuple[int, int]]
-    adjacency: dict[int, tuple[int, ...]] = field(compare=False, default_factory=dict)
-
-    @property
-    def all_edges(self) -> frozenset[tuple[int, int]]:
-        return self.direct | self.via_unassigned
-
-
-@dataclass(frozen=True)
-class RegrowSet:
-    """Subgraph indices chosen for dissolution and regrowth."""
-
-    members: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 @dataclass
@@ -90,37 +63,17 @@ class SearchStats:
         }
 
 
-def nonlocated(instance: Instance, solution: Solution) -> set[int]:
-    """Nodes not assigned to any subgraph."""
-    return {u for u, a in enumerate(solution.assignment) if a == -1}
+def build_neighbor_graph(instance: Instance, solution: Solution) -> list[tuple[int, ...]]:
+    """Derive subgraph adjacency from a solution: entry i lists, ascending,
+    the subgraphs linked to subgraph i.
 
-
-def subgraph_frontier(instance: Instance, solution: Solution, i: int) -> set[int]:
-    """Nodes outside subgraph i adjacent to at least one of its nodes."""
-    adj = instance.graph.adjacency
-    assignment = solution.assignment
-    out: set[int] = set()
-    for u, a in enumerate(assignment):
-        if a != i:
-            continue
-        for w in adj[u]:
-            if assignment[w] != i:
-                out.add(w)
-    return out
-
-
-def build_neighbor_graph(instance: Instance, solution: Solution) -> NeighborGraph:
-    """Derive subgraph adjacency from a solution.
-
-    Direct pairs share a graph edge.  For every connected component of the
-    unassigned nodes, all subgraphs adjacent to that component become
-    pairwise connected as well.
+    Two subgraphs are linked when they share a graph edge, or when both
+    border the same connected component of the unassigned nodes.
     """
     g = instance.graph
     adj = g.adjacency
     assignment = solution.assignment
-    k = instance.subgraph_count
-    direct: set[tuple[int, int]] = set()
+    linked: list[set[int]] = [set() for _ in range(instance.subgraph_count)]
     for u in range(g.node_count):
         au = assignment[u]
         if au == -1:
@@ -129,8 +82,8 @@ def build_neighbor_graph(instance: Instance, solution: Solution) -> NeighborGrap
             if w > u:
                 aw = assignment[w]
                 if aw != -1 and aw != au:
-                    direct.add((au, aw) if au < aw else (aw, au))
-    via: set[tuple[int, int]] = set()
+                    linked[au].add(aw)
+                    linked[aw].add(au)
     seen = bytearray(g.node_count)
     for s in range(g.node_count):
         if assignment[s] != -1 or seen[s]:
@@ -149,16 +102,9 @@ def build_neighbor_graph(instance: Instance, solution: Solution) -> NeighborGrap
                         stack.append(w)
                 else:
                     comp_subs.add(aw)
-        subs = sorted(comp_subs)
-        for x in range(len(subs)):
-            for y in range(x + 1, len(subs)):
-                via.add((subs[x], subs[y]))
-    adjacency: dict[int, list[int]] = {}
-    for a, b in direct | via:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    frozen_adj = {i: tuple(sorted(set(vs))) for i, vs in adjacency.items()}
-    return NeighborGraph(k, frozenset(direct), frozenset(via), frozen_adj)
+        for a in comp_subs:
+            linked[a] |= comp_subs
+    return [tuple(sorted(vs - {i})) for i, vs in enumerate(linked)]
 
 
 def _frontier_hits(instance: Instance, solution: Solution) -> list[int]:
@@ -177,16 +123,17 @@ def _frontier_hits(instance: Instance, solution: Solution) -> list[int]:
 
 
 def select_regrow_set(instance: Instance, solution: Solution,
-                      neighbor_graph: NeighborGraph, m: int, mode: str,
+                      neighbors: list[tuple[int, ...]], m: int, mode: str,
                       config: SolverConfig, rng: Random,
-                      sizes=None, frontier_hits=None) -> RegrowSet | None:
+                      sizes=None, frontier_hits=None) -> frozenset[int] | None:
     """Choose the subgraphs to dissolve; None when no useful set exists.
 
     The target size m is capped at the subgraph count.  Any returned set
     contains a non-full subgraph, and under "grow-n" the members induce a
     connected subgraph of the neighbor graph grown from a random non-full
     seed (a set that exhausts its component below m is still accepted when
-    it touches unassigned nodes).
+    it touches unassigned nodes).  `neighbors` is the adjacency returned by
+    build_neighbor_graph.
     """
     if mode not in (GROW_R, GROW_N):
         raise ValueError(f"unknown regrow mode: {mode}")
@@ -208,10 +155,8 @@ def select_regrow_set(instance: Instance, solution: Solution,
         rest = sorted(set(range(k)) - members)
         while len(members) < target and rest:
             members.add(rest.pop(rng.randrange(len(rest))))
-        return RegrowSet(frozenset(members))
+        return frozenset(members)
     hits_set = set(frontier_hits)
-    adjacency = neighbor_graph.adjacency
-    neighbors = [adjacency.get(i, ()) for i in range(k)]
     size_goal = target
     while size_goal <= k:
         for _ in range(config.grow_n_attempts):
@@ -231,7 +176,7 @@ def select_regrow_set(instance: Instance, solution: Solution,
                 u = fringe.pop(rng.randrange(len(fringe)))
                 members.add(u)
             if not hits_set.isdisjoint(members):
-                return RegrowSet(frozenset(members))
+                return frozenset(members)
         size_goal += 1
     return None
 
@@ -282,7 +227,7 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
         trace.append((1, best.objective))
     k = instance.subgraph_count
     n = instance.graph.node_count
-    neighbor_graph = build_neighbor_graph(instance, best)
+    neighbors = build_neighbor_graph(instance, best)
     sizes = best.sizes(k)
     hits = _frontier_hits(instance, best)
     stagnation = 0
@@ -292,11 +237,11 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
         if all(s >= instance.capacity for s in sizes):
             break
         m = rng.randint(2, config.regrow_size)
-        pick = select_regrow_set(instance, best, neighbor_graph, m, mode,
+        pick = select_regrow_set(instance, best, neighbors, m, mode,
                                  config, rng, sizes=sizes, frontier_hits=hits)
         if pick is None:
             break
-        candidate = regrow_partial(instance, best, pick.members, config, rng)
+        candidate = regrow_partial(instance, best, pick, config, rng)
         generated += 1
         if candidate.objective >= best.objective:
             if candidate.objective > best.objective:
@@ -306,7 +251,7 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
             else:
                 stagnation += 1
             best = candidate
-            neighbor_graph = build_neighbor_graph(instance, best)
+            neighbors = build_neighbor_graph(instance, best)
             sizes = best.sizes(k)
             hits = _frontier_hits(instance, best)
             if trace is not None:

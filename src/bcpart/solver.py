@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from .graph import Graph, Instance, check_type
 from .growth import (
-    SINGLE_EAR,
     GrowthState,
     grow,
     init_growth,
@@ -29,7 +28,6 @@ from .growth import (
 __all__ = [
     "SolverConfig", "Solution", "objective", "generate_solution",
     "solution_to_json", "solution_from_json", "save_solution", "load_solution",
-    "update_bfs_tree_delete",
 ]
 
 
@@ -112,7 +110,7 @@ def _grow_parallel(graph: Graph, roots, capacity: int, config: SolverConfig,
         grown = 0
         retire = False
         while grown < max_l:
-            added = grow(st, SINGLE_EAR, rng)
+            added = grow(st, rng)
             if added == 0:
                 retire = True
                 break

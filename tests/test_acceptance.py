@@ -10,7 +10,7 @@ large-instance check alone builds and solves a 10,000-node instance.
 import random
 import time
 
-from bcpart import (GROW_N, GROW_R, SINGLE_EAR, GenConfig, SolverConfig,
+from bcpart import (GROW_N, GROW_R, GenConfig, SolverConfig,
                     brute_force_optimum, generate_instance, generate_solution,
                     grow, init_growth, instance_to_json, is_biconnected,
                     local_search, reduce_mpgsd_star, rows_to_csv, run_bench,
@@ -128,7 +128,7 @@ def test_distance_labels_never_underestimate():
                                          rng.randint(0, 4))
         root = rng.randrange(g.node_count)
         st = init_growth(g, root, g.node_count, 0.7)
-        while grow(st, SINGLE_EAR, rng) > 0:
+        while grow(st, rng) > 0:
             in_s = {u for u in range(g.node_count) if st.in_s[u]}
             allowed = {u for u in range(g.node_count)
                        if st.available[u] and not st.in_s[u]}
@@ -151,7 +151,7 @@ def test_every_accepted_ear_keeps_biconnectivity_and_capacity():
         root = rng.randrange(g.node_count)
         cap = rng.randint(3, g.node_count)
         st = init_growth(g, root, cap, rng.uniform(0.4, 1.0))
-        while grow(st, SINGLE_EAR, rng) > 0:
+        while grow(st, rng) > 0:
             assert len(st.members) <= cap
             assert is_biconnected(g, st.members)
 

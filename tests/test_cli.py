@@ -8,7 +8,7 @@ import pytest
 
 import bcpart
 from bcpart import (GenerationError, instance_from_json, load_instance, load_solution,
-                    solution_from_json, verify_solution)
+                    run_bench, solution_from_json, verify_solution)
 from bcpart.cli import main
 
 
@@ -161,6 +161,30 @@ def test_bad_bench_mode_gives_json_error(tmp_path, capsys):
     spec_path.write_text(json.dumps({"pairs": [[2, 5]], "modes": ["warp"]}))
     code, _, stderr = run_cli(capsys, "bench", "--spec", str(spec_path))
     assert code == 2
+    assert "error" in json.loads(stderr)
+
+
+SPEC = {"pairs": [[2, 5]], "instancesPerPair": 1, "config": {"maxIterations": 5}}
+
+BAD_SPECS = {
+    "pairs-not-list": {**SPEC, "pairs": 5},
+    "alpha-list": {**SPEC, "alpha": [2.0]},
+    "instances-per-pair-list": {**SPEC, "instancesPerPair": [1]},
+    "base-seed-list": {**SPEC, "baseSeed": [0]},
+    "modes-not-list": {**SPEC, "modes": 5},
+    "config-not-object": {**SPEC, "config": [1]},
+    "config-value-string": {**SPEC, "config": {"p0": "a"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_mistyped_bench_spec_gives_value_error_and_json_exit_2(case, tmp_path, capsys):
+    with pytest.raises(ValueError):
+        run_bench(BAD_SPECS[case])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(BAD_SPECS[case]))
+    code, stdout, stderr = run_cli(capsys, "bench", "--spec", str(spec_path))
+    assert code == 2 and stdout == ""
     assert "error" in json.loads(stderr)
 
 

@@ -2,7 +2,10 @@ import json
 import math
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcpart import (Instance, articulation_points, biconnected_components,
                     build_graph, disc_radius, instance_from_json,
@@ -174,6 +177,33 @@ def test_biconnected_components_cover_members():
                 assert is_biconnected(g, comp)
             else:
                 assert len(comp) == 2
+
+
+@st.composite
+def induced_subgraphs(draw):
+    """A random graph on up to 14 nodes and a random node subset of it;
+    the subset may be empty, tiny or disconnected."""
+    n = draw(st.integers(0, 14))
+    density = draw(st.floats(0.0, 0.7))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
+    nodes = draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else set()
+    return build_graph(n, edges), nodes
+
+
+@settings(max_examples=400, deadline=None)
+@given(induced_subgraphs())
+def test_block_functions_match_networkx(case):
+    g, nodes = case
+    ref = nx.Graph()
+    ref.add_nodes_from(nodes)
+    ref.add_edges_from((u, v) for u, v in g.edges() if u in nodes and v in nodes)
+    # the library's conventions: 0 nodes no, 1 node yes, 2 nodes never
+    expected = len(nodes) == 1 if len(nodes) < 3 else nx.is_biconnected(ref)
+    assert is_biconnected(g, nodes) == expected
+    assert articulation_points(g, nodes) == set(nx.articulation_points(ref))
+    assert (sorted(sorted(c) for c in biconnected_components(g, nodes))
+            == sorted(sorted(c) for c in nx.biconnected_components(ref)))
 
 
 def test_instance_validation():

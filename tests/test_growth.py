@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from bcpart import (SINGLE_EAR, TO_CAPACITY, build_graph, grow, init_growth,
-                    is_biconnected, try_make_ear)
-from bcpart.growth import INF
+from bcpart import build_graph, grow, init_growth, is_biconnected
+from bcpart.growth import INF, try_make_ear
 from oracles import exact_hop_layers, random_biconnected_graph, random_graph
 
 
@@ -15,7 +14,7 @@ def cycle_graph(n):
 def drain_single_ears(st, rng):
     """Accept ears one at a time until no more growth; yields after each."""
     while True:
-        added = grow(st, SINGLE_EAR, rng)
+        added = grow(st, rng)
         if added == 0:
             return
         yield added
@@ -41,7 +40,7 @@ def test_init_isolated_root():
     g = build_graph(3, [(1, 2)])
     st = init_growth(g, 0, 4, 1.0)
     assert list(st.queue) == []
-    assert grow(st, TO_CAPACITY, random.Random(0)) == 0
+    assert sum(drain_single_ears(st, random.Random(0))) == 0
     assert st.members == [0]
 
 
@@ -68,7 +67,7 @@ def test_init_validation():
 def test_cycle_consumed_when_capacity_allows():
     g = cycle_graph(5)
     st = init_growth(g, 0, 5, 1.0)
-    added = grow(st, TO_CAPACITY, random.Random(1))
+    added = sum(drain_single_ears(st, random.Random(1)))
     assert added == 4
     assert sorted(st.members) == [0, 1, 2, 3, 4]
     assert is_biconnected(g, st.members)
@@ -78,7 +77,7 @@ def test_cycle_rejected_when_over_capacity():
     # the only closing ear needs |S| + 1 + 1 + 1 + 1 = 5 > 4
     g = cycle_graph(5)
     st = init_growth(g, 0, 4, 1.0)
-    assert grow(st, TO_CAPACITY, random.Random(1)) == 0
+    assert sum(drain_single_ears(st, random.Random(1))) == 0
     assert st.members == [0]
 
 
@@ -89,7 +88,8 @@ def test_try_make_ear_same_root_rejected():
     # walk the BFS far enough to give 2 and 3 the same ear root 1
     st.queue.clear()
     st.queue.append(1)
-    grow(st, TO_CAPACITY, rng)  # no ear is admissible: roots collide
+    while grow(st, rng):  # no ear is admissible: roots collide
+        pass
     assert st.ear_root[2] == 1 and st.ear_root[3] == 1
     assert try_make_ear(st, 2, 3) is None
     assert st.members == [0]
@@ -99,7 +99,7 @@ def test_first_ear_closes_through_root():
     g = cycle_graph(5)
     st = init_growth(g, 0, 5, 1.0)
     rng = random.Random(1)
-    added = grow(st, SINGLE_EAR, rng)
+    added = grow(st, rng)
     assert added == 4
     ear = st.last_ear
     assert ear is not None and ear.cycle
@@ -112,7 +112,9 @@ def test_complete_graph_always_fills():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     for seed in range(20):
         st = init_growth(g, 0, 4, 1.0)
-        grow(st, TO_CAPACITY, random.Random(seed))
+        rng = random.Random(seed)
+        while grow(st, rng):
+            pass
         assert sorted(st.members) == [0, 1, 2, 3]
 
 
@@ -120,7 +122,7 @@ def test_path_graph_never_grows():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     for r in range(5):
         st = init_growth(g, r, 5, 1.0)
-        assert grow(st, TO_CAPACITY, random.Random(0)) == 0
+        assert sum(drain_single_ears(st, random.Random(0))) == 0
         assert st.members == [r]
 
 
@@ -142,7 +144,7 @@ def test_descendants_rebased_after_ear():
     rng = random.Random(1)
     # BFS discovers 5 (and then 6) as tree descendants of 1 before the
     # cycle-closing ear gets accepted
-    added = grow(st, SINGLE_EAR, rng)
+    added = grow(st, rng)
     assert added == 4
     assert sorted(st.members) == [0, 1, 2, 3, 4]
     assert st.ear_root[5] == 1 and st.dist[5] == 1
@@ -165,13 +167,14 @@ def test_rebased_depth_two_distance():
     rng = random.Random(1)
     # force full BFS discovery first: reject every ear (prob 0), then allow
     st.accept_prob = 0.0
-    grow(st, TO_CAPACITY, rng)
+    while grow(st, rng):
+        pass
     assert st.dist[6] == 2
     st.accept_prob = 1.0
     for u in range(7):
         st.evaluate[u] = 1
     st.queue.extend([1, 2, 3, 4])
-    added = grow(st, SINGLE_EAR, rng)
+    added = grow(st, rng)
     assert added == 4
     assert st.ear_root[6] == 1
     assert st.dist[6] == 2
@@ -183,7 +186,9 @@ def test_far_nodes_skipped_but_kept():
     # processed and keeps its eval flag for later
     g = cycle_graph(8)
     st = init_growth(g, 0, 4, 1.0)
-    grow(st, TO_CAPACITY, random.Random(0))
+    rng = random.Random(0)
+    while grow(st, rng):
+        pass
     assert st.members == [0]
     far = [u for u in range(8) if st.dist[u] not in (0, INF) and st.dist[u] > 3]
     for u in far:
@@ -222,7 +227,8 @@ def test_biconnected_graphs_fill_to_capacity():
         g = random_biconnected_graph(rng, n, rng.randint(0, n))
         root = rng.randrange(n)
         st = init_growth(g, root, n, 1.0)
-        grow(st, TO_CAPACITY, rng)
+        while grow(st, rng):
+            pass
         assert len(st.members) == n, f"seed {seed}: stuck at {len(st.members)}/{n}"
 
 
@@ -251,6 +257,8 @@ def test_growth_is_deterministic():
         g = random_graph(random.Random(99), 14, 0.4)
         st_a = init_growth(g, 0, 9, 0.5)
         st_b = init_growth(g, 0, 9, 0.5)
-        grow(st_a, TO_CAPACITY, rng_a)
-        grow(st_b, TO_CAPACITY, rng_b)
+        while grow(st_a, rng_a):
+            pass
+        while grow(st_b, rng_b):
+            pass
         assert st_a.members == st_b.members

@@ -3,11 +3,10 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bcpart import (GROW_N, GROW_R, Instance, NeighborGraph, Solution, SolverConfig,
-                    build_graph, build_neighbor_graph, generate_solution,
-                    local_search, nonlocated, regrow_partial, select_regrow_set,
-                    subgraph_frontier, verify_solution)
-from bcpart.local_search import _frontier_hits
+from bcpart import (GROW_N, GROW_R, Instance, Solution, SolverConfig, build_graph,
+                    generate_solution, local_search, verify_solution)
+from bcpart.local_search import (_frontier_hits, build_neighbor_graph, regrow_partial,
+                                 select_regrow_set)
 from oracles import random_instance, ref_grow_n_walk, unassigned_path_exists
 
 
@@ -28,41 +27,37 @@ def three_triangles():
     return inst, sol
 
 
-def test_nonlocated_sets():
-    inst, sol = three_triangles()
-    assert nonlocated(inst, sol) == {9, 10}
-    full = Solution(assignment=(0, 0, 0, 1, 1, 1, 2, 2, 2, 0, 1))
-    assert nonlocated(inst, full) == set()
-
-
 def test_frontier_of_singleton_root():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     inst = Instance(graph=g, roots=(0,), capacity=4)
     sol = Solution(assignment=(0, -1, -1, -1))
-    assert subgraph_frontier(inst, sol, 0) == {1, 2, 3}
+    assert _frontier_hits(inst, sol) == [0]
 
 
 def test_frontier_of_isolated_subgraph():
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-    g = build_graph(6, edges)
+    g = build_graph(7, edges)   # node 6 isolated, unassigned
     inst = Instance(graph=g, roots=(0, 3), capacity=3)
-    sol = Solution(assignment=(0, 0, 0, 1, 1, 1))
-    assert subgraph_frontier(inst, sol, 0) == set()
-    assert subgraph_frontier(inst, sol, 1) == set()
+    sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1))
+    assert _frontier_hits(inst, sol) == []
 
 
 def test_frontiers_of_touching_subgraphs():
-    inst, sol = three_triangles()
-    assert 6 in subgraph_frontier(inst, sol, 1)
-    assert 5 in subgraph_frontier(inst, sol, 2)
+    # 6 is the only unassigned node: it borders 1 through the edge (5, 6)
+    # and sits next to 7 and 8 of subgraph 2
+    inst, _ = three_triangles()
+    sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1, 2, 2, 0, 0))
+    assert _frontier_hits(inst, sol) == [1, 2]
 
 
 def test_neighbor_graph_direct_and_via():
+    # 1-2 share an edge; 0 reaches both only through the connectors
     inst, sol = three_triangles()
-    ng = build_neighbor_graph(inst, sol)
-    assert ng.direct == frozenset({(1, 2)})
-    assert ng.via_unassigned == frozenset({(0, 1), (0, 2)})
-    assert ng.all_edges == {(0, 1), (0, 2), (1, 2)}
+    assert build_neighbor_graph(inst, sol) == [(1, 2), (0, 2), (0, 1)]
+    # cut 0 off from the connectors: only the shared edge is left
+    g = build_graph(11, [e for e in inst.graph.edges() if e not in ((2, 9), (1, 10))])
+    apart = Instance(graph=g, roots=inst.roots, capacity=3)
+    assert build_neighbor_graph(apart, sol) == [(), (2,), (1,)]
 
 
 def test_neighbor_graph_no_unassigned():
@@ -70,9 +65,7 @@ def test_neighbor_graph_no_unassigned():
     g = build_graph(6, edges)
     inst = Instance(graph=g, roots=(0, 3), capacity=3)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1))
-    ng = build_neighbor_graph(inst, sol)
-    assert ng.via_unassigned == frozenset()
-    assert ng.direct == frozenset({(0, 1)})
+    assert build_neighbor_graph(inst, sol) == [(1,), (0,)]
 
 
 def test_neighbor_graph_fully_disconnected():
@@ -80,18 +73,20 @@ def test_neighbor_graph_fully_disconnected():
     g = build_graph(6, edges)
     inst = Instance(graph=g, roots=(0, 3), capacity=3)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1))
-    ng = build_neighbor_graph(inst, sol)
-    assert ng.all_edges == set()
+    assert build_neighbor_graph(inst, sol) == [(), ()]
 
 
 def test_connector_component_links_all_bordering_subgraphs():
-    # one unassigned component touching three subgraphs yields all pairs
+    # without the shared edge (5, 6), 1 and 2 are linked only once node 11
+    # joins connectors 9 and 10 into one unassigned component
     inst, _ = three_triangles()
-    g2 = build_graph(12, list(inst.graph.edges()) + [(9, 11), (11, 10)])
-    inst2 = Instance(graph=g2, roots=(0, 3, 6), capacity=3)
-    sol2 = Solution(assignment=(0, 0, 0, 1, 1, 1, 2, 2, 2, -1, -1, -1))
-    ng = build_neighbor_graph(inst2, sol2)
-    assert ng.via_unassigned == frozenset({(0, 1), (0, 2), (1, 2)})
+    edges = [e for e in inst.graph.edges() if e != (5, 6)]
+    sol = Solution(assignment=(0, 0, 0, 1, 1, 1, 2, 2, 2, -1, -1, -1))
+    apart = Instance(graph=build_graph(12, edges), roots=(0, 3, 6), capacity=3)
+    assert build_neighbor_graph(apart, sol) == [(1, 2), (0,), (0,)]
+    joined = Instance(graph=build_graph(12, edges + [(9, 11), (11, 10)]),
+                      roots=(0, 3, 6), capacity=3)
+    assert build_neighbor_graph(joined, sol) == [(1, 2), (0, 2), (0, 1)]
 
 
 def test_via_edges_match_exhaustive_path_search():
@@ -99,14 +94,19 @@ def test_via_edges_match_exhaustive_path_search():
         rng = random.Random(seed)
         inst = random_instance(rng, max_nodes=14)
         sol = generate_solution(inst, SolverConfig(seed=seed), random.Random(seed))
-        ng = build_neighbor_graph(inst, sol)
+        a = sol.assignment
         k = len(inst.roots)
-        expected = set()
+        expected = [set() for _ in range(k)]
+        for u, v in inst.graph.edges():
+            if a[u] != -1 and a[v] != -1 and a[u] != a[v]:
+                expected[a[u]].add(a[v])
+                expected[a[v]].add(a[u])
         for i in range(k):
             for j in range(i + 1, k):
-                if unassigned_path_exists(inst.graph, sol.assignment, i, j):
-                    expected.add((i, j))
-        assert ng.via_unassigned == frozenset(expected)
+                if unassigned_path_exists(inst.graph, a, i, j):
+                    expected[i].add(j)
+                    expected[j].add(i)
+        assert build_neighbor_graph(inst, sol) == [tuple(sorted(e)) for e in expected]
 
 
 def test_select_all_full_returns_none():
@@ -141,12 +141,11 @@ def test_select_grow_r_members():
     for seed in range(30):
         picked = select_regrow_set(inst, sol, ng, 2, GROW_R,
                                    SolverConfig(seed=seed), random.Random(seed))
-        assert picked is not None and picked.size == 2
-        members = picked.members
+        assert picked is not None and len(picked) == 2
         assert any(len([u for u in range(11) if sol.assignment[u] == i]) < 3
-                   for i in members)
+                   for i in picked)
         hits = _frontier_hits(inst, sol)
-        assert any(i in hits for i in members)
+        assert any(i in hits for i in picked)
 
 
 def test_select_grow_n_members_connected():
@@ -160,7 +159,7 @@ def test_select_grow_n_members_connected():
                                    SolverConfig(seed=seed), random.Random(seed))
         if picked is None:
             continue
-        members = sorted(picked.members)
+        members = sorted(picked)
         if len(members) == 1:
             continue
         # connectivity inside the subgraph-neighbor graph
@@ -168,14 +167,11 @@ def test_select_grow_n_members_connected():
         todo = [members[0]]
         while todo:
             x = todo.pop()
-            for (a, b) in ng.all_edges:
-                if a == x and b in picked.members and b not in reach:
+            for b in ng[x]:
+                if b in picked and b not in reach:
                     reach.add(b)
                     todo.append(b)
-                if b == x and a in picked.members and a not in reach:
-                    reach.add(a)
-                    todo.append(a)
-        assert reach == picked.members
+        assert reach == picked
 
 
 CAPACITY = 10
@@ -223,14 +219,14 @@ def walk_inputs(draw):
 def test_grow_n_walk_matches_reference_draw_for_draw(inputs, m, attempts, seed):
     k, adjacency, sizes, hits = inputs
     inst = Instance(graph=build_graph(k, []), roots=tuple(range(k)), capacity=CAPACITY)
-    ng = NeighborGraph(k, frozenset(), frozenset(), adjacency)
+    neighbors = [adjacency.get(i, ()) for i in range(k)]
     config = SolverConfig(grow_n_attempts=attempts)
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    picked = select_regrow_set(inst, Solution(tuple(range(k))), ng, m, GROW_N,
+    picked = select_regrow_set(inst, Solution(tuple(range(k))), neighbors, m, GROW_N,
                                config, rng, sizes=sizes, frontier_hits=hits)
     seeds = [i for i in range(k) if sizes[i] < CAPACITY]
     expected = ref_grow_n_walk(adjacency, seeds, hits, min(m, k), k, attempts, ref_rng)
-    assert (None if picked is None else picked.members) == expected
+    assert picked == expected
     assert rng.getstate() == ref_rng.getstate()
 
 
@@ -246,14 +242,13 @@ def test_regrow_never_touches_outside_subgraphs():
         if picked is None:
             continue
         cases += 1
-        cand = regrow_partial(inst, sol, picked.members,
-                              SolverConfig(seed=seed), rng)
+        cand = regrow_partial(inst, sol, picked, SolverConfig(seed=seed), rng)
         for u in range(inst.graph.node_count):
             old = sol.assignment[u]
-            if old != -1 and old not in picked.members:
+            if old != -1 and old not in picked:
                 assert cand.assignment[u] == old
             if cand.assignment[u] != old:
-                assert cand.assignment[u] in picked.members | {-1}
+                assert cand.assignment[u] in picked | {-1}
         assert verify_solution(inst, cand).feasible
     assert cases >= 30
 

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from bcpart import (Instance, Solution, SolverConfig, TO_CAPACITY, build_graph,
+from bcpart import (Instance, Solution, SolverConfig, build_graph,
                     generate_solution, grow, init_growth, load_solution,
                     objective, save_solution, solution_from_json,
-                    solution_to_json, update_bfs_tree_delete, verify_solution)
-from bcpart.growth import INF
+                    solution_to_json, verify_solution)
+from bcpart.growth import INF, update_bfs_tree_delete
 from oracles import random_instance
 
 
@@ -33,7 +33,9 @@ def test_single_root_matches_plain_growth():
     cfg = SolverConfig(p0=1.0, seed=0)
     sol = generate_solution(inst, cfg, random.Random(0))
     st = init_growth(g, 0, 5, 1.0)
-    grow(st, TO_CAPACITY, random.Random(0))
+    rng = random.Random(0)
+    while grow(st, rng):
+        pass
     assert sol.objective == len(st.members) == 5
     assert sorted(sol.subgraph_nodes(0)) == sorted(st.members)
 
@@ -64,7 +66,9 @@ def test_delete_detaches_descendants():
     # tree 0-1 with children 2,3 under 1; deleting 1 resets its subtree
     g = build_graph(4, [(0, 1), (1, 2), (1, 3)])
     st = init_growth(g, 0, 4, 1.0)
-    grow(st, TO_CAPACITY, random.Random(0))   # builds the BFS tree, no ears
+    rng = random.Random(0)
+    while grow(st, rng):   # builds the BFS tree, no ears
+        pass
     assert st.parent[2] == 1 and st.parent[3] == 1
     update_bfs_tree_delete(st, [1])
     assert st.available[1] == 0
@@ -79,7 +83,9 @@ def test_delete_reenqueues_quiet_ancestors():
     # ancestors 1 and 2 exactly once
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     st = init_growth(g, 0, 4, 1.0)
-    grow(st, TO_CAPACITY, random.Random(0))
+    rng = random.Random(0)
+    while grow(st, rng):
+        pass
     assert list(st.queue) == []
     assert st.evaluate[1] == 0 and st.evaluate[2] == 0
     update_bfs_tree_delete(st, [3])
@@ -91,7 +97,9 @@ def test_delete_reenqueues_quiet_ancestors():
 def test_delete_skips_already_awake_ancestors():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     st = init_growth(g, 0, 4, 1.0)
-    grow(st, TO_CAPACITY, random.Random(0))
+    rng = random.Random(0)
+    while grow(st, rng):
+        pass
     st.evaluate[1] = 1
     st.evaluate[2] = 1
     update_bfs_tree_delete(st, [3])
