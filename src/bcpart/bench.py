@@ -8,12 +8,13 @@ A bench spec is a dict (usually loaded from JSON):
       "alpha": 2.0,
       "instancesPerPair": 40,
       "baseSeed": 100,                    # instance seeds base..base+k-1
-      "modes": ["grow-r", "grow-n"],
+      "modes": ["grow-r", "grow-n"],     # default ["grow-n"]
       "config": {"p0": 0.5, "maxExpLength": 12, ...}   # optional overrides
     }
 
 The "config" keys are SolverConfig field names in camelCase; a key left out
-keeps the field's default.  A field of the wrong type raises ValueError.
+keeps the field's default.  An unknown key at either level or a field of
+the wrong type raises ValueError.
 
 The solver seed for every run equals the instance seed, so a spec pins the
 whole experiment; rows come out in (pair, mode) order.  Timing columns are
@@ -34,6 +35,7 @@ from .local_search import GROW_N, GROW_R, local_search
 from .solver import SolverConfig
 
 _MODE_LETTER = {GROW_R: "R", GROW_N: "N"}
+_SPEC_KEYS = ("pairs", "alpha", "instancesPerPair", "baseSeed", "modes", "config")
 
 CSV_HEADER = ("n,M,alpha,mode,avgErrPct,stdevErrPct,maxErrPct,"
               "hits,avgIter,stdevIter,avgTimeMs")
@@ -63,14 +65,19 @@ class BenchRow:
 
 def _config_from_spec(cfg: dict) -> SolverConfig:
     """SolverConfig from a spec's "config" object.  The seed is not read
-    here: every run uses its instance seed."""
-    kwargs = {}
+    here: every run uses its instance seed.  An unknown key raises
+    ValueError."""
+    known = {}
     for f in fields(SolverConfig):
         head, *rest = f.name.split("_")
-        key = head + "".join(part.capitalize() for part in rest)
-        if f.name != "seed" and key in cfg:
-            kind = (int, float) if isinstance(f.default, float) else int
-            kwargs[f.name] = check_type(cfg[key], kind, f"config {key}")
+        known[head + "".join(part.capitalize() for part in rest)] = f
+    del known["seed"]
+    kwargs = {}
+    for key, value in cfg.items():
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+        kind = (int, float) if isinstance(known[key].default, float) else int
+        kwargs[known[key].name] = check_type(value, kind, f"config {key}")
     return SolverConfig(**kwargs)
 
 
@@ -92,10 +99,12 @@ def _run_one(job) -> tuple | None:
 def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list[BenchRow]:
     """Execute a bench spec; returns rows in (pair, mode) order.
 
-    A spec field of the wrong type or an unknown mode raises ValueError
-    before any instance is generated.
+    An unknown key, a spec field of the wrong type or an unknown mode
+    raises ValueError before any instance is generated.
     """
-    check_type(spec, dict, "bench spec")
+    for key in check_type(spec, dict, "bench spec"):
+        if key not in _SPEC_KEYS:
+            raise ValueError(f"unknown bench spec key {key!r}")
     pairs = []
     for pair in check_type(spec.get("pairs"), list, "pairs"):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -103,9 +112,11 @@ def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list
         pairs.append((check_type(pair[0], int, "pair n"), check_type(pair[1], int, "pair M")))
     alpha = float(check_type(spec.get("alpha", 2.0), (int, float), "alpha"))
     count = check_type(spec.get("instancesPerPair", 10), int, "instancesPerPair")
+    if count < 1:
+        raise ValueError("instancesPerPair must be >= 1")
     base_seed = check_type(spec.get("baseSeed", 0), int, "baseSeed")
-    modes = spec.get("modes") or [spec.get("mode", GROW_N)]
-    for mode in check_type(modes, list, "modes"):
+    modes = check_type(spec.get("modes", [GROW_N]), list, "modes")
+    for mode in modes:
         if check_type(mode, str, "mode") not in _MODE_LETTER:
             raise ValueError(f"unknown mode in bench spec: {mode}")
     config = _config_from_spec(check_type(spec.get("config", {}), dict, "config"))
@@ -115,8 +126,8 @@ def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list
             for idx in range(count):
                 jobs.append((n, capacity, alpha, base_seed + idx, mode, config))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, jobs))
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            results = list(executor.map(_run_one, jobs))
     else:
         results = [_run_one(job) for job in jobs]
     rows: list[BenchRow] = []

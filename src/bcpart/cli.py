@@ -17,7 +17,7 @@ from dataclasses import fields
 from .bench import run_bench, rows_to_csv
 from .generate import (GenConfig, GenerationError, certificate_solution, generate_instance,
                        reduce_mpgsd_star)
-from .graph import load_instance, save_instance
+from .graph import load_instance, parse_json, save_instance
 from .local_search import GROW_N, GROW_R, SearchStats, local_search
 from .solver import (SolverConfig, generate_solution, load_solution,
                      save_solution, solution_to_json)
@@ -105,7 +105,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_bench(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+        spec = parse_json(fh.read())
     rows = run_bench(spec, workers=args.workers, include_timing=not args.no_timing)
     csv_text = rows_to_csv(rows)
     if args.out:

@@ -269,13 +269,21 @@ def check_type(value, kind, what: str):
     return value
 
 
+def parse_json(text: str):
+    """json.loads; nesting too deep for the parser raises ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def instance_from_json(text: str) -> Instance:
     """Parse the canonical instance JSON; edge order in the file is kept.
 
     Any departure from the layout written by instance_to_json (a missing
     field, a wrong type, bad ids, edges or roots) raises ValueError.
     """
-    payload = check_type(json.loads(text), dict, "instance")
+    payload = check_type(parse_json(text), dict, "instance")
     nodes = check_type(payload.get("nodes"), list, "nodes")
     n = len(nodes)
     ids = [check_type(check_type(entry, dict, "node").get("id"), int, "node id")

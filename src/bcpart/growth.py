@@ -19,7 +19,7 @@ so runs are reproducible given the caller's RNG.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph
 
@@ -42,20 +42,24 @@ class GrowthState:
 
     Node-indexed arrays; `children` holds only nodes that currently have
     tree children (insertion-ordered lists, so traversals stay
-    deterministic).
+    deterministic).  `owner`, shared by the states growing together, maps
+    each node to the label of the subgraph holding it (-1 = free): this
+    state may use u iff owner[u] in (-1, label); u is in S iff owner[u] ==
+    label.
     """
 
     __slots__ = (
-        "graph", "root", "capacity", "accept_prob",
+        "graph", "root", "label", "capacity", "accept_prob",
         "parent", "children", "ear_root", "dist",
-        "evaluate", "available", "in_s",
+        "evaluate", "owner",
         "queue", "members", "last_ear",
     )
 
     def __init__(self, graph: Graph, root: int, capacity: int, accept_prob: float,
-                 available: bytearray):
+                 owner: list[int]):
         self.graph = graph
         self.root = root
+        self.label = owner[root]
         self.capacity = capacity
         self.accept_prob = accept_prob
         n = graph.node_count
@@ -64,27 +68,20 @@ class GrowthState:
         self.ear_root = list(range(n))
         self.dist = [INF] * n
         self.evaluate = bytearray([1]) * n
-        self.available = available
-        self.in_s = bytearray(n)
+        self.owner = owner
         self.queue: deque[int] = deque()
         self.members: list[int] = [root]
         self.last_ear: Ear | None = None
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def subgraph_nodes(self) -> list[int]:
-        return list(self.members)
-
 
 def init_growth(g: Graph, root: int, capacity: int, accept_prob: float,
-                available: bytearray | None = None) -> GrowthState:
-    """Start a growth around `root`: S = {root}, every available neighbor
+                owner: list[int] | None = None) -> GrowthState:
+    """Start a growth around `root`: S = {root}, every free neighbor
     becomes its own ear root at dist 0 and is queued in adjacency order.
 
-    `available` (shared-ownership bytearray) restricts the node pool; the
-    root itself must be available.
+    `owner` is the shared node -> label list (-1 = free); the state's label
+    is owner[root], which must already be set.  Without it the state grows
+    alone: every node is free and the root gets label 0.
     """
     if not (0 <= root < g.node_count):
         raise ValueError(f"root {root} out of range")
@@ -92,22 +89,20 @@ def init_growth(g: Graph, root: int, capacity: int, accept_prob: float,
         raise ValueError("capacity must be >= 1")
     if not (0.0 <= accept_prob <= 1.0):
         raise ValueError("accept_prob must be in [0, 1]")
-    if available is None:
-        available = bytearray([1]) * g.node_count
-    if not available[root]:
-        raise ValueError(f"root {root} marked unavailable")
-    st = GrowthState(g, root, capacity, accept_prob, available)
+    if owner is None:
+        owner = [-1] * g.node_count
+        owner[root] = 0
+    if owner[root] == -1:
+        raise ValueError(f"root {root} carries no label")
+    st = GrowthState(g, root, capacity, accept_prob, owner)
     st.dist[root] = 0
-    st.in_s[root] = 1
-    kids = []
-    for u in g.adjacency[root]:
-        if not available[u]:
-            continue
+    free = (-1, st.label)
+    kids = [u for u in g.adjacency[root] if owner[u] in free]
+    for u in kids:
         st.dist[u] = 0
         st.ear_root[u] = u
         st.parent[u] = root
-        kids.append(u)
-        st.queue.append(u)
+    st.queue.extend(kids)
     if kids:
         st.children[root] = kids
     return st
@@ -136,17 +131,20 @@ def try_make_ear(st: GrowthState, u: int, v: int) -> Ear | None:
     rv = st.ear_root[v]
     if ru == rv:
         return None
+    ru_in = st.owner[ru] == st.label
+    rv_in = st.owner[rv] == st.label
     added_count = st.dist[u] + st.dist[v]
-    if not st.in_s[ru]:
+    if not ru_in:
         added_count += 1
-    if not st.in_s[rv]:
+    if not rv_in:
         added_count += 1
     if added_count == 0:
         return None
-    if st.size + added_count > st.capacity:
+    size = len(st.members)
+    if size + added_count > st.capacity:
         return None
-    initial = st.size == 1
-    if not initial and (not st.in_s[ru] or not st.in_s[rv]):
+    initial = size == 1
+    if not initial and not (ru_in and rv_in):
         # dangling pre-cycle anchor; cannot attach to S
         return None
     left = _walk_up(st, u)
@@ -154,20 +152,23 @@ def try_make_ear(st: GrowthState, u: int, v: int) -> Ear | None:
     seq = left[::-1] + right
     if initial and rv != st.root:
         seq = [st.root] + seq
-    added = [x for x in seq if not st.in_s[x]]
+    owner, label = st.owner, st.label
+    added = [x for x in seq if owner[x] != label]
     return Ear(sequence=seq, added=added, cycle=initial)
 
 
 def update_add_ear(st: GrowthState, ear: Ear) -> None:
     """Fold an accepted ear into the BFS tree.
 
-    Ear nodes become S members at dist 0 rooted at themselves.  Tree
-    descendants hanging below them (stopping at other S nodes) are re-rooted
-    onto their nearest ear ancestor, get dist = steps to it, are flagged for
-    re-evaluation and re-enqueued.  Enqueue order is ear sequence first,
-    then descendants level by level, so shorter new ears are found first.
+    Ear nodes become S members (owner = this state's label) at dist 0
+    rooted at themselves.  Tree descendants hanging below them (stopping at
+    other S nodes) are re-rooted onto their nearest ear ancestor, get dist =
+    steps to it, are flagged for re-evaluation and re-enqueued.  Enqueue
+    order is ear sequence first, then descendants level by level, so shorter
+    new ears are found first.
     """
-    in_s = st.in_s
+    owner = st.owner
+    label = st.label
     dist = st.dist
     ear_root = st.ear_root
     evaluate = st.evaluate
@@ -176,8 +177,8 @@ def update_add_ear(st: GrowthState, ear: Ear) -> None:
     for x in ear.sequence:
         dist[x] = 0
         ear_root[x] = x
-        if not in_s[x]:
-            in_s[x] = 1
+        if owner[x] != label:
+            owner[x] = label
             members.append(x)
     st.queue.extend(ear.sequence)
     level = ear.sequence
@@ -190,7 +191,7 @@ def update_add_ear(st: GrowthState, ear: Ear) -> None:
             base_root = ear_root[x]
             base_dist = dist[x] + 1
             for c in kids:
-                if in_s[c]:
+                if owner[c] == label:
                     continue
                 ear_root[c] = base_root
                 dist[c] = base_dist
@@ -203,8 +204,8 @@ def update_add_ear(st: GrowthState, ear: Ear) -> None:
 def update_bfs_tree_delete(st: GrowthState, removed) -> None:
     """React to `removed` nodes being claimed by another subgraph.
 
-    Each removed node becomes unavailable.  If it sat in this tree, the
-    ancestors on its path to its ear root are re-flagged for evaluation
+    The claim is already in `owner`.  If a removed node sat in this tree,
+    the ancestors on its path to its ear root are re-flagged for evaluation
     (their previously same-rooted back edges may now close valid ears) and
     re-enqueued once; its whole subtree is detached and forgotten
     (dist = INF, re-discoverable later through fresh tree extension).
@@ -216,7 +217,6 @@ def update_bfs_tree_delete(st: GrowthState, removed) -> None:
     ear_root = st.ear_root
     queue = st.queue
     for u in removed:
-        st.available[u] = 0
         if dist[u] == INF:
             continue
         # wake the ancestor chain up to and including the ear root
@@ -252,7 +252,7 @@ def grow(st: GrowthState, rng) -> int:
 
     Dequeued nodes are processed only when flagged for evaluation and when
     dist still fits the remaining capacity.  Scanning a node either extends
-    the tree (unvisited available neighbors) or tests non-tree edges as
+    the tree (unvisited free neighbors) or tests non-tree edges as
     ears; each valid ear is accepted with probability accept_prob (one RNG
     draw per discovery).  Returns right after the first accepted ear with
     the scan left resumable, so repeated calls grow S ear by ear until the
@@ -262,24 +262,26 @@ def grow(st: GrowthState, rng) -> int:
     parent = st.parent
     dist = st.dist
     evaluate = st.evaluate
-    available = st.available
+    owner = st.owner
+    free = (-1, st.label)
     children = st.children
     queue = st.queue
+    members = st.members
     accept_prob = st.accept_prob
     capacity = st.capacity
     while queue:
-        if st.size >= capacity:
+        if len(members) >= capacity:
             break
         cur = queue.popleft()
-        if not evaluate[cur] or not available[cur]:
+        if not evaluate[cur] or owner[cur] not in free:
             continue
-        if dist[cur] > capacity - st.size:
+        if dist[cur] > capacity - len(members):
             # too deep to seed an ear under current capacity; a future
             # re-root would re-enqueue it with a smaller dist
             continue
         cur_kids = None
         for w in adj[cur]:
-            if not available[w]:
+            if owner[w] not in free:
                 continue
             if parent[cur] == w or parent[w] == cur:
                 continue

@@ -63,12 +63,15 @@ class SearchStats:
         }
 
 
-def build_neighbor_graph(instance: Instance, solution: Solution) -> list[tuple[int, ...]]:
-    """Derive subgraph adjacency from a solution: entry i lists, ascending,
-    the subgraphs linked to subgraph i.
+def build_neighbor_graph(instance: Instance,
+                         solution: Solution) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Derive subgraph adjacency from a solution.
 
-    Two subgraphs are linked when they share a graph edge, or when both
-    border the same connected component of the unassigned nodes.
+    Returns (neighbors, hits): neighbors[i] lists, ascending, the subgraphs
+    linked to subgraph i, and hits lists, ascending, the subgraphs whose
+    frontier contains an unassigned node.  Two subgraphs are linked when
+    they share a graph edge, or when both border the same connected
+    component of the unassigned nodes.
     """
     g = instance.graph
     adj = g.adjacency
@@ -84,6 +87,7 @@ def build_neighbor_graph(instance: Instance, solution: Solution) -> list[tuple[i
                 if aw != -1 and aw != au:
                     linked[au].add(aw)
                     linked[aw].add(au)
+    hits: set[int] = set()
     seen = bytearray(g.node_count)
     for s in range(g.node_count):
         if assignment[s] != -1 or seen[s]:
@@ -104,44 +108,25 @@ def build_neighbor_graph(instance: Instance, solution: Solution) -> list[tuple[i
                     comp_subs.add(aw)
         for a in comp_subs:
             linked[a] |= comp_subs
-    return [tuple(sorted(vs - {i})) for i, vs in enumerate(linked)]
+        hits |= comp_subs
+    return [tuple(sorted(vs - {i})) for i, vs in enumerate(linked)], sorted(hits)
 
 
-def _frontier_hits(instance: Instance, solution: Solution) -> list[int]:
-    """Subgraphs whose frontier contains at least one unassigned node."""
-    adj = instance.graph.adjacency
-    assignment = solution.assignment
-    hits: set[int] = set()
-    for u, a in enumerate(assignment):
-        if a != -1:
-            continue
-        for w in adj[u]:
-            aw = assignment[w]
-            if aw != -1:
-                hits.add(aw)
-    return sorted(hits)
-
-
-def select_regrow_set(instance: Instance, solution: Solution,
-                      neighbors: list[tuple[int, ...]], m: int, mode: str,
-                      config: SolverConfig, rng: Random,
-                      sizes=None, frontier_hits=None) -> frozenset[int] | None:
+def select_regrow_set(instance: Instance, neighbors: list[tuple[int, ...]],
+                      sizes: list[int], frontier_hits: list[int], m: int, mode: str,
+                      config: SolverConfig, rng: Random) -> frozenset[int] | None:
     """Choose the subgraphs to dissolve; None when no useful set exists.
 
     The target size m is capped at the subgraph count.  Any returned set
     contains a non-full subgraph, and under "grow-n" the members induce a
     connected subgraph of the neighbor graph grown from a random non-full
     seed (a set that exhausts its component below m is still accepted when
-    it touches unassigned nodes).  `neighbors` is the adjacency returned by
-    build_neighbor_graph.
+    it touches unassigned nodes).  `neighbors` and `frontier_hits` come
+    from build_neighbor_graph, `sizes` from Solution.sizes.
     """
     if mode not in (GROW_R, GROW_N):
         raise ValueError(f"unknown regrow mode: {mode}")
     k = instance.subgraph_count
-    if sizes is None:
-        sizes = solution.sizes(k)
-    if frontier_hits is None:
-        frontier_hits = _frontier_hits(instance, solution)
     if not frontier_hits:
         return None
     seeds = [i for i in range(k) if sizes[i] < instance.capacity]
@@ -185,26 +170,11 @@ def regrow_partial(instance: Instance, solution: Solution, members,
                    config: SolverConfig, rng: Random) -> Solution:
     """Dissolve the given subgraphs and regrow them over their old nodes
     plus all unassigned nodes; every other assignment is carried over."""
-    chosen = sorted(set(members))
+    chosen = set(members)
     if not chosen:
         raise ValueError("regrow set must not be empty")
-    g = instance.graph
-    assignment = list(solution.assignment)
-    chosen_set = set(chosen)
-    pool = bytearray(g.node_count)
-    for u, a in enumerate(assignment):
-        if a == -1 or a in chosen_set:
-            pool[u] = 1
-    roots = [instance.roots[i] for i in chosen]
-    grown = _grow_parallel(g, roots, instance.capacity, config, rng, pool=pool)
-    for u, a in enumerate(assignment):
-        if a in chosen_set:
-            assignment[u] = -1
-    for idx, nodes in enumerate(grown):
-        label = chosen[idx]
-        for u in nodes:
-            assignment[u] = label
-    return Solution(tuple(assignment))
+    owner = [-1 if a in chosen else a for a in solution.assignment]
+    return Solution(_grow_parallel(instance, owner, sorted(chosen), config, rng))
 
 
 def local_search(instance: Instance, config: SolverConfig, mode: str,
@@ -227,9 +197,8 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
         trace.append((1, best.objective))
     k = instance.subgraph_count
     n = instance.graph.node_count
-    neighbors = build_neighbor_graph(instance, best)
+    neighbors, hits = build_neighbor_graph(instance, best)
     sizes = best.sizes(k)
-    hits = _frontier_hits(instance, best)
     stagnation = 0
     while generated < config.max_iterations and stagnation < config.stagnation_limit:
         if best.objective == n:
@@ -237,8 +206,7 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
         if all(s >= instance.capacity for s in sizes):
             break
         m = rng.randint(2, config.regrow_size)
-        pick = select_regrow_set(instance, best, neighbors, m, mode,
-                                 config, rng, sizes=sizes, frontier_hits=hits)
+        pick = select_regrow_set(instance, neighbors, sizes, hits, m, mode, config, rng)
         if pick is None:
             break
         candidate = regrow_partial(instance, best, pick, config, rng)
@@ -251,15 +219,14 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
             else:
                 stagnation += 1
             best = candidate
-            neighbors = build_neighbor_graph(instance, best)
+            neighbors, hits = build_neighbor_graph(instance, best)
             sizes = best.sizes(k)
-            hits = _frontier_hits(instance, best)
             if trace is not None:
                 trace.append((generated, best.objective))
         else:
             stagnation += 1
     total_ms = (time.perf_counter() - t0) * 1000.0
-    stats = SearchStats(
+    return best, SearchStats(
         best_objective=best.objective,
         iterations=generated,
         iteration_of_best=best_iter,
@@ -268,4 +235,3 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
         mode=mode,
         total_millis=total_ms,
     )
-    return best, stats

@@ -3,9 +3,11 @@ parallel around their roots, interleaved in random bursts.
 
 Each outer step draws a burst length MaxL in [2, max_exp_length], picks a
 random still-expandable subgraph and lets it add single ears until the
-burst is filled or it cannot continue.  Every accepted ear immediately
-claims its new nodes in all sibling subgraphs, which prune their BFS trees
-accordingly.  A subgraph retires once its queue runs dry or it is full.
+burst is filled or it cannot continue.  All subgraphs share one owner list
+(node -> subgraph label, -1 = free), which is also the resulting
+assignment: every accepted ear writes its label over its new nodes, and the
+sibling subgraphs prune those nodes from their BFS trees.  A subgraph
+retires once its queue runs dry or it is full.
 
 RNG consumption order per outer step: burst length, subgraph pick, then
 one draw per ear discovered while growing.  Identical seeds give identical
@@ -17,13 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .graph import Graph, Instance, check_type
-from .growth import (
-    GrowthState,
-    grow,
-    init_growth,
-    update_bfs_tree_delete,
-)
+from .graph import Instance, check_type, parse_json
+from .growth import grow, init_growth, update_bfs_tree_delete
 
 __all__ = [
     "SolverConfig", "Solution", "objective", "generate_solution",
@@ -83,59 +80,44 @@ def objective(assignment) -> int:
     return sum(1 for a in assignment if a != -1)
 
 
-def _grow_parallel(graph: Graph, roots, capacity: int, config: SolverConfig,
-                   rng, pool: bytearray | None = None) -> list[list[int]]:
-    """Grow one subgraph per root inside an optional node pool.
+def _grow_parallel(instance: Instance, owner: list[int], labels, config: SolverConfig,
+                   rng) -> list[int]:
+    """Grow subgraph L around instance.roots[L] for every L in `labels`.
 
-    Returns the grown node lists aligned with `roots`.  Nodes outside the
-    pool are untouchable; every root must sit inside the pool.
+    `owner` maps each node to the label of the subgraph holding it, -1 when
+    free; the roots to grow must be free.  The grown subgraphs may take free
+    nodes only; every node holding another label is off limits.  Returns
+    `owner`, updated in place, which is the new assignment.
     """
-    n = graph.node_count
-    k = len(roots)
-    states: list[GrowthState] = []
-    for idx in range(k):
-        if pool is None:
-            avail = bytearray([1]) * n
-        else:
-            avail = bytearray(pool)
-        for other in range(k):
-            if other != idx:
-                avail[roots[other]] = 0
-        states.append(init_growth(graph, roots[idx], capacity, config.p0, avail))
-    expandable = list(range(k))
+    roots = instance.roots
+    for label in labels:
+        owner[roots[label]] = label
+    states = [init_growth(instance.graph, roots[label], instance.capacity, config.p0, owner)
+              for label in labels]
+    expandable = list(range(len(states)))
     while expandable:
         max_l = rng.randint(2, config.max_exp_length)
         i = expandable[rng.randrange(len(expandable))]
         st = states[i]
         grown = 0
-        retire = False
         while grown < max_l:
             added = grow(st, rng)
-            if added == 0:
-                retire = True
+            if added:
+                grown += added
+                new_nodes = st.last_ear.added
+                for other in states:
+                    if other is not st:
+                        update_bfs_tree_delete(other, new_nodes)
+            if not added or len(st.members) >= instance.capacity:
+                expandable.remove(i)
                 break
-            grown += added
-            new_nodes = st.last_ear.added
-            for j in range(k):
-                if j != i:
-                    update_bfs_tree_delete(states[j], new_nodes)
-            if st.size >= capacity:
-                retire = True
-                break
-        if retire:
-            expandable.remove(i)
-    return [st.subgraph_nodes() for st in states]
+    return owner
 
 
 def generate_solution(instance: Instance, config: SolverConfig, rng) -> Solution:
     """Build one full solution by parallel randomized growth."""
-    grown = _grow_parallel(instance.graph, instance.roots, instance.capacity,
-                           config, rng)
-    assignment = [-1] * instance.graph.node_count
-    for idx, nodes in enumerate(grown):
-        for u in nodes:
-            assignment[u] = idx
-    return Solution(tuple(assignment))
+    return Solution(_grow_parallel(instance, [-1] * instance.graph.node_count,
+                                   range(instance.subgraph_count), config, rng))
 
 
 def solution_to_json(solution: Solution, seed: int) -> str:
@@ -149,7 +131,7 @@ def solution_to_json(solution: Solution, seed: int) -> str:
 
 def solution_from_json(text: str) -> tuple[Solution, int | None]:
     """Parse a solution; a missing field or a wrong type raises ValueError."""
-    payload = check_type(json.loads(text), dict, "solution")
+    payload = check_type(parse_json(text), dict, "solution")
     assignment = check_type(payload.get("assignment"), list, "assignment")
     sol = Solution(tuple(check_type(a, int, "assignment entry") for a in assignment))
     seed = payload.get("seed")

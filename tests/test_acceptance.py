@@ -129,9 +129,8 @@ def test_distance_labels_never_underestimate():
         root = rng.randrange(g.node_count)
         st = init_growth(g, root, g.node_count, 0.7)
         while grow(st, rng) > 0:
-            in_s = {u for u in range(g.node_count) if st.in_s[u]}
-            allowed = {u for u in range(g.node_count)
-                       if st.available[u] and not st.in_s[u]}
+            in_s = {u for u in range(g.node_count) if st.owner[u] == st.label}
+            allowed = {u for u in range(g.node_count) if st.owner[u] == -1}
             exact = exact_hop_layers(g, in_s, allowed)
             for u in allowed:
                 if st.dist[u] != INF and u in exact:

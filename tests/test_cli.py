@@ -174,6 +174,10 @@ BAD_SPECS = {
     "modes-not-list": {**SPEC, "modes": 5},
     "config-not-object": {**SPEC, "config": [1]},
     "config-value-string": {**SPEC, "config": {"p0": "a"}},
+    "unknown-key": {**SPEC, "mode": "grow-r"},
+    "config-unknown-keys": {**SPEC, "config": {"maxIters": 5, "stagnation": 3}},
+    "config-seed": {**SPEC, "config": {"seed": 3}},
+    "instances-per-pair-zero": {**SPEC, "instancesPerPair": 0},
 }
 
 
@@ -186,6 +190,13 @@ def test_mistyped_bench_spec_gives_value_error_and_json_exit_2(case, tmp_path, c
     code, stdout, stderr = run_cli(capsys, "bench", "--spec", str(spec_path))
     assert code == 2 and stdout == ""
     assert "error" in json.loads(stderr)
+
+
+def test_unknown_bench_spec_key_is_named():
+    with pytest.raises(ValueError, match="'mode'"):
+        run_bench(BAD_SPECS["unknown-key"])
+    with pytest.raises(ValueError, match="'maxIters'"):
+        run_bench(BAD_SPECS["config-unknown-keys"])
 
 
 def test_console_entry_point(tmp_path):
@@ -276,3 +287,23 @@ def test_generation_failure_gives_json_exit_2(tmp_path, capsys, monkeypatch):
                               "--out", str(tmp_path / "i.json"))
     assert code == 2
     assert "budget" in json.loads(stderr)["error"]
+
+
+# the file-reading subcommands and the files each one reads
+READS = {"solve": ("instance",), "oracle": ("instance",),
+         "verify": ("instance", "solution"), "bench": ("spec",)}
+
+
+@pytest.mark.parametrize("command,nested", [
+    (command, name) for command, names in READS.items() for name in names])
+def test_deeply_nested_json_gives_json_exit_2(command, nested, tmp_path, capsys):
+    texts = {"instance": json.dumps(TRIANGLE), "solution": json.dumps({"assignment": [0, 0, 0]}),
+             "spec": json.dumps(SPEC), nested: "[" * 200_000}
+    argv = [command]
+    for name in READS[command]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(texts[name])
+        argv += [f"--{name}", str(path)]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert "error" in json.loads(stderr)

@@ -25,7 +25,7 @@ def test_init_on_cycle():
     st = init_growth(g, 0, 5, 1.0)
     assert st.members == [0]
     assert list(st.queue) == [1, 4]
-    assert st.in_s[0] == 1
+    assert st.label == 0 and st.owner == [0, -1, -1, -1, -1]
     assert st.dist[0] == 0
     for u in (1, 4):
         assert st.ear_root[u] == u
@@ -59,9 +59,10 @@ def test_init_validation():
         init_growth(g, 0, 0, 1.0)
     with pytest.raises(ValueError):
         init_growth(g, 0, 4, 1.5)
-    avail = bytearray([1, 1, 1, 0])
+    # the root must already carry its label in the shared owner list
     with pytest.raises(ValueError):
-        init_growth(g, 3, 4, 1.0, avail)
+        init_growth(g, 3, 4, 1.0, [0, -1, -1, -1])
+    assert init_growth(g, 3, 4, 1.0, [0, -1, -1, 5]).label == 5
 
 
 def test_cycle_consumed_when_capacity_allows():
@@ -241,9 +242,8 @@ def test_distance_overestimates_true_distance():
         root = rng.randrange(g.node_count)
         st = init_growth(g, root, g.node_count, 0.7)
         for _ in drain_single_ears(st, rng):
-            in_s = {u for u in range(g.node_count) if st.in_s[u]}
-            allowed = {u for u in range(g.node_count)
-                       if st.available[u] and not st.in_s[u]}
+            in_s = {u for u in range(g.node_count) if st.owner[u] == st.label}
+            allowed = {u for u in range(g.node_count) if st.owner[u] == -1}
             exact = exact_hop_layers(g, in_s, allowed)
             for u in allowed:
                 if st.dist[u] != INF and u in exact:

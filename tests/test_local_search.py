@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from bcpart import (GROW_N, GROW_R, Instance, Solution, SolverConfig, build_graph,
                     generate_solution, local_search, verify_solution)
-from bcpart.local_search import (_frontier_hits, build_neighbor_graph, regrow_partial,
-                                 select_regrow_set)
+from bcpart.local_search import build_neighbor_graph, regrow_partial, select_regrow_set
 from oracles import random_instance, ref_grow_n_walk, unassigned_path_exists
 
 
@@ -31,7 +30,7 @@ def test_frontier_of_singleton_root():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     inst = Instance(graph=g, roots=(0,), capacity=4)
     sol = Solution(assignment=(0, -1, -1, -1))
-    assert _frontier_hits(inst, sol) == [0]
+    assert build_neighbor_graph(inst, sol) == ([()], [0])
 
 
 def test_frontier_of_isolated_subgraph():
@@ -39,7 +38,7 @@ def test_frontier_of_isolated_subgraph():
     g = build_graph(7, edges)   # node 6 isolated, unassigned
     inst = Instance(graph=g, roots=(0, 3), capacity=3)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1))
-    assert _frontier_hits(inst, sol) == []
+    assert build_neighbor_graph(inst, sol) == ([(), ()], [])
 
 
 def test_frontiers_of_touching_subgraphs():
@@ -47,17 +46,17 @@ def test_frontiers_of_touching_subgraphs():
     # and sits next to 7 and 8 of subgraph 2
     inst, _ = three_triangles()
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1, 2, 2, 0, 0))
-    assert _frontier_hits(inst, sol) == [1, 2]
+    assert build_neighbor_graph(inst, sol)[1] == [1, 2]
 
 
 def test_neighbor_graph_direct_and_via():
     # 1-2 share an edge; 0 reaches both only through the connectors
     inst, sol = three_triangles()
-    assert build_neighbor_graph(inst, sol) == [(1, 2), (0, 2), (0, 1)]
+    assert build_neighbor_graph(inst, sol) == ([(1, 2), (0, 2), (0, 1)], [0, 1, 2])
     # cut 0 off from the connectors: only the shared edge is left
     g = build_graph(11, [e for e in inst.graph.edges() if e not in ((2, 9), (1, 10))])
     apart = Instance(graph=g, roots=inst.roots, capacity=3)
-    assert build_neighbor_graph(apart, sol) == [(), (2,), (1,)]
+    assert build_neighbor_graph(apart, sol) == ([(), (2,), (1,)], [1, 2])
 
 
 def test_neighbor_graph_no_unassigned():
@@ -65,7 +64,7 @@ def test_neighbor_graph_no_unassigned():
     g = build_graph(6, edges)
     inst = Instance(graph=g, roots=(0, 3), capacity=3)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1))
-    assert build_neighbor_graph(inst, sol) == [(1,), (0,)]
+    assert build_neighbor_graph(inst, sol) == ([(1,), (0,)], [])
 
 
 def test_neighbor_graph_fully_disconnected():
@@ -73,7 +72,7 @@ def test_neighbor_graph_fully_disconnected():
     g = build_graph(6, edges)
     inst = Instance(graph=g, roots=(0, 3), capacity=3)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1))
-    assert build_neighbor_graph(inst, sol) == [(), ()]
+    assert build_neighbor_graph(inst, sol) == ([(), ()], [])
 
 
 def test_connector_component_links_all_bordering_subgraphs():
@@ -83,10 +82,10 @@ def test_connector_component_links_all_bordering_subgraphs():
     edges = [e for e in inst.graph.edges() if e != (5, 6)]
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, 2, 2, 2, -1, -1, -1))
     apart = Instance(graph=build_graph(12, edges), roots=(0, 3, 6), capacity=3)
-    assert build_neighbor_graph(apart, sol) == [(1, 2), (0,), (0,)]
+    assert build_neighbor_graph(apart, sol) == ([(1, 2), (0,), (0,)], [0, 1, 2])
     joined = Instance(graph=build_graph(12, edges + [(9, 11), (11, 10)]),
                       roots=(0, 3, 6), capacity=3)
-    assert build_neighbor_graph(joined, sol) == [(1, 2), (0, 2), (0, 1)]
+    assert build_neighbor_graph(joined, sol) == ([(1, 2), (0, 2), (0, 1)], [0, 1, 2])
 
 
 def test_via_edges_match_exhaustive_path_search():
@@ -106,7 +105,10 @@ def test_via_edges_match_exhaustive_path_search():
                 if unassigned_path_exists(inst.graph, a, i, j):
                     expected[i].add(j)
                     expected[j].add(i)
-        assert build_neighbor_graph(inst, sol) == [tuple(sorted(e)) for e in expected]
+        hits = {a[w] for u in range(len(a)) if a[u] == -1
+                for w in inst.graph.adjacency[u] if a[w] != -1}
+        assert build_neighbor_graph(inst, sol) == ([tuple(sorted(e)) for e in expected],
+                                                   sorted(hits))
 
 
 def test_select_all_full_returns_none():
@@ -114,9 +116,9 @@ def test_select_all_full_returns_none():
     g = build_graph(7, edges)
     inst = Instance(graph=g, roots=(0, 3), capacity=3)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1))
-    ng = build_neighbor_graph(inst, sol)
+    ng, hits = build_neighbor_graph(inst, sol)
     for mode in (GROW_R, GROW_N):
-        picked = select_regrow_set(inst, sol, ng, 2, mode,
+        picked = select_regrow_set(inst, ng, sol.sizes(2), hits, 2, mode,
                                    SolverConfig(seed=0), random.Random(0))
         assert picked is None    # both subgraphs are at capacity
 
@@ -127,8 +129,8 @@ def test_select_needs_unassigned_frontier():
     g = build_graph(7, edges)   # node 6 isolated, unassigned
     inst = Instance(graph=g, roots=(0, 3), capacity=4)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1))
-    ng = build_neighbor_graph(inst, sol)
-    picked = select_regrow_set(inst, sol, ng, 2, GROW_R,
+    ng, hits = build_neighbor_graph(inst, sol)
+    picked = select_regrow_set(inst, ng, sol.sizes(2), hits, 2, GROW_R,
                                SolverConfig(seed=0), random.Random(0))
     assert picked is None
 
@@ -137,14 +139,13 @@ def test_select_grow_r_members():
     inst, sol = three_triangles()
     # free a slot in subgraph 0 so it is not full
     sol = Solution(assignment=(0, 0, -1, 1, 1, 1, 2, 2, 2, -1, -1))
-    ng = build_neighbor_graph(inst, sol)
+    ng, hits = build_neighbor_graph(inst, sol)
     for seed in range(30):
-        picked = select_regrow_set(inst, sol, ng, 2, GROW_R,
+        picked = select_regrow_set(inst, ng, sol.sizes(3), hits, 2, GROW_R,
                                    SolverConfig(seed=seed), random.Random(seed))
         assert picked is not None and len(picked) == 2
         assert any(len([u for u in range(11) if sol.assignment[u] == i]) < 3
                    for i in picked)
-        hits = _frontier_hits(inst, sol)
         assert any(i in hits for i in picked)
 
 
@@ -153,9 +154,9 @@ def test_select_grow_n_members_connected():
         rng = random.Random(seed)
         inst = random_instance(rng, max_nodes=14)
         sol = generate_solution(inst, SolverConfig(seed=seed), random.Random(seed))
-        ng = build_neighbor_graph(inst, sol)
+        ng, hits = build_neighbor_graph(inst, sol)
         m = rng.randint(2, 4)
-        picked = select_regrow_set(inst, sol, ng, m, GROW_N,
+        picked = select_regrow_set(inst, ng, sol.sizes(len(inst.roots)), hits, m, GROW_N,
                                    SolverConfig(seed=seed), random.Random(seed))
         if picked is None:
             continue
@@ -222,8 +223,7 @@ def test_grow_n_walk_matches_reference_draw_for_draw(inputs, m, attempts, seed):
     neighbors = [adjacency.get(i, ()) for i in range(k)]
     config = SolverConfig(grow_n_attempts=attempts)
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    picked = select_regrow_set(inst, Solution(tuple(range(k))), neighbors, m, GROW_N,
-                               config, rng, sizes=sizes, frontier_hits=hits)
+    picked = select_regrow_set(inst, neighbors, sizes, hits, m, GROW_N, config, rng)
     seeds = [i for i in range(k) if sizes[i] < CAPACITY]
     expected = ref_grow_n_walk(adjacency, seeds, hits, min(m, k), k, attempts, ref_rng)
     assert picked == expected
@@ -236,9 +236,9 @@ def test_regrow_never_touches_outside_subgraphs():
         rng = random.Random(seed)
         inst = random_instance(rng, max_nodes=14)
         sol = generate_solution(inst, SolverConfig(seed=seed), random.Random(seed))
-        ng = build_neighbor_graph(inst, sol)
-        picked = select_regrow_set(inst, sol, ng, rng.randint(2, 3), GROW_R,
-                                   SolverConfig(seed=seed), rng)
+        ng, hits = build_neighbor_graph(inst, sol)
+        picked = select_regrow_set(inst, ng, sol.sizes(len(inst.roots)), hits,
+                                   rng.randint(2, 3), GROW_R, SolverConfig(seed=seed), rng)
         if picked is None:
             continue
         cases += 1

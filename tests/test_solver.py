@@ -70,8 +70,10 @@ def test_delete_detaches_descendants():
     while grow(st, rng):   # builds the BFS tree, no ears
         pass
     assert st.parent[2] == 1 and st.parent[3] == 1
+    st.owner[1] = 1          # a sibling subgraph claims 1
     update_bfs_tree_delete(st, [1])
-    assert st.available[1] == 0
+    assert st.dist[1] == INF and st.parent[1] == -1
+    assert 1 not in st.children[0]
     for u in (2, 3):
         assert st.dist[u] == INF
         assert st.parent[u] == -1
@@ -88,8 +90,9 @@ def test_delete_reenqueues_quiet_ancestors():
         pass
     assert list(st.queue) == []
     assert st.evaluate[1] == 0 and st.evaluate[2] == 0
+    st.owner[3] = 1          # a sibling subgraph claims 3
     update_bfs_tree_delete(st, [3])
-    assert st.available[3] == 0
+    assert st.dist[3] == INF
     assert st.evaluate[1] == 1 and st.evaluate[2] == 1
     assert sorted(st.queue) == [1, 2]
 
@@ -102,19 +105,32 @@ def test_delete_skips_already_awake_ancestors():
         pass
     st.evaluate[1] = 1
     st.evaluate[2] = 1
+    st.owner[3] = 1
     update_bfs_tree_delete(st, [3])
     # still awake, but not re-enqueued a second time
     assert list(st.queue) == []
 
 
-def test_delete_of_undiscovered_node_only_marks_unavailable():
+def test_delete_of_undiscovered_node_is_a_no_op():
+    # the claim lives in the shared owner list; a tree that never reached
+    # the claimed node is left exactly as it was
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     st = init_growth(g, 0, 4, 1.0)
     # 2 and 3 not explored yet
+    st.owner[3] = 1
+
+    def snapshot():
+        return (list(st.parent), list(st.dist), bytes(st.evaluate), list(st.ear_root),
+                {u: list(c) for u, c in st.children.items()}, list(st.queue))
+    before = snapshot()
     update_bfs_tree_delete(st, [3])
-    assert st.available[3] == 0
+    assert snapshot() == before
     assert st.dist[3] == INF
     assert list(st.queue) == [1]
+    # the BFS then walks around the claimed node
+    while grow(st, random.Random(0)):
+        pass
+    assert st.dist[3] == INF and st.parent[2] == 1
 
 
 def test_roots_blocked_for_other_subgraphs():
