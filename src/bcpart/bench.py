@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 from .generate import GenConfig, GenerationError, generate_instance
-from .graph import check_type
+from .graph import check_finite, check_type
 from .local_search import GROW_N, GROW_R, local_search
 from .solver import SolverConfig
 
@@ -110,7 +110,7 @@ def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"pair {pair!r} must be a pair [n, M]")
         pairs.append((check_type(pair[0], int, "pair n"), check_type(pair[1], int, "pair M")))
-    alpha = float(check_type(spec.get("alpha", 2.0), (int, float), "alpha"))
+    alpha = float(check_finite(spec.get("alpha", 2.0), "alpha"))
     count = check_type(spec.get("instancesPerPair", 10), int, "instancesPerPair")
     if count < 1:
         raise ValueError("instancesPerPair must be >= 1")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 
@@ -269,6 +270,13 @@ def check_type(value, kind, what: str):
     return value
 
 
+def check_finite(value, what: str):
+    """check_type for a number that is finite as a float, else ValueError."""
+    if not abs(check_type(value, (int, float), what)) <= sys.float_info.max:  # NaN too
+        raise ValueError(f"{what} must be finite and fit in a float")
+    return value
+
+
 def parse_json(text: str):
     """json.loads; nesting too deep for the parser raises ValueError too."""
     try:
@@ -281,7 +289,8 @@ def instance_from_json(text: str) -> Instance:
     """Parse the canonical instance JSON; edge order in the file is kept.
 
     Any departure from the layout written by instance_to_json (a missing
-    field, a wrong type, bad ids, edges or roots) raises ValueError.
+    field, a wrong type, a non-finite coordinate, bad ids, edges or roots)
+    raises ValueError.
     """
     payload = check_type(parse_json(text), dict, "instance")
     nodes = check_type(payload.get("nodes"), list, "nodes")
@@ -292,8 +301,8 @@ def instance_from_json(text: str) -> Instance:
         raise ValueError("node ids must be exactly 0..n-1")
     coords = None
     if nodes and "x" in nodes[0]:
-        by_id = {entry["id"]: (check_type(entry.get("x"), (int, float), "node x"),
-                               check_type(entry.get("y"), (int, float), "node y"))
+        by_id = {entry["id"]: (check_finite(entry.get("x"), "node x"),
+                               check_finite(entry.get("y"), "node y"))
                  for entry in nodes}
         coords = [by_id[i] for i in range(n)]
     edges = []

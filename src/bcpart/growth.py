@@ -12,8 +12,12 @@ The very first ear is special: while S == {r} every neighbor of r is its
 own ear root, and a non-tree edge between two different branches closes a
 cycle through r.
 
-All queue handling is FIFO and all neighbor scans follow adjacency order,
-so runs are reproducible given the caller's RNG.
+grow tests, draws, then builds: ears are tested inline, one RNG draw follows
+each valid ear, and only an accepted ear is built and folded in.  Sibling
+claims are pruned in batches, in claim order.  ear_root and parent mean
+something only where dist is finite.  All queue handling is FIFO and all
+neighbor scans follow adjacency order, so runs are reproducible given the
+caller's RNG.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class GrowthState:
         n = graph.node_count
         self.parent = [-1] * n
         self.children: dict[int, list[int]] = {}
-        self.ear_root = list(range(n))
+        self.ear_root = [-1] * n
         self.dist = [INF] * n
         self.evaluate = bytearray([1]) * n
         self.owner = owner
@@ -96,6 +100,7 @@ def init_growth(g: Graph, root: int, capacity: int, accept_prob: float,
         raise ValueError(f"root {root} carries no label")
     st = GrowthState(g, root, capacity, accept_prob, owner)
     st.dist[root] = 0
+    st.ear_root[root] = root
     free = (-1, st.label)
     kids = [u for u in g.adjacency[root] if owner[u] in free]
     for u in kids:
@@ -202,19 +207,20 @@ def update_add_ear(st: GrowthState, ear: Ear) -> None:
 
 
 def update_bfs_tree_delete(st: GrowthState, removed) -> None:
-    """React to `removed` nodes being claimed by another subgraph.
+    """Prune a batch of nodes claimed by other subgraphs, in claim order.
 
-    The claim is already in `owner`.  If a removed node sat in this tree,
-    the ancestors on its path to its ear root are re-flagged for evaluation
-    (their previously same-rooted back edges may now close valid ears) and
-    re-enqueued once; its whole subtree is detached and forgotten
-    (dist = INF, re-discoverable later through fresh tree extension).
+    The claims are already in `owner`; nodes this tree never reached are
+    skipped.  For each claimed node in the tree, the ancestors on its path
+    to its ear root are re-flagged for evaluation (their previously
+    same-rooted back edges may now close valid ears) and re-enqueued once;
+    its whole subtree is detached and forgotten (dist = INF,
+    re-discoverable later through fresh tree extension).  One call on a
+    batch equals one call per node in the same order.
     """
     parent = st.parent
     children = st.children
     dist = st.dist
     evaluate = st.evaluate
-    ear_root = st.ear_root
     queue = st.queue
     for u in removed:
         if dist[u] == INF:
@@ -234,7 +240,6 @@ def update_bfs_tree_delete(st: GrowthState, removed) -> None:
         parent[u] = -1
         dist[u] = INF
         evaluate[u] = 0
-        ear_root[u] = u
         # drop the subtree below u
         stack = children.pop(u, [])
         while stack:
@@ -243,7 +248,6 @@ def update_bfs_tree_delete(st: GrowthState, removed) -> None:
             parent[v] = -1
             dist[v] = INF
             evaluate[v] = 1
-            ear_root[v] = v
 
 
 def grow(st: GrowthState, rng) -> int:
@@ -252,53 +256,65 @@ def grow(st: GrowthState, rng) -> int:
 
     Dequeued nodes are processed only when flagged for evaluation and when
     dist still fits the remaining capacity.  Scanning a node either extends
-    the tree (unvisited free neighbors) or tests non-tree edges as
-    ears; each valid ear is accepted with probability accept_prob (one RNG
-    draw per discovery).  Returns right after the first accepted ear with
-    the scan left resumable, so repeated calls grow S ear by ear until the
-    queue empties or S reaches capacity.
+    the tree (unvisited free neighbors) or tests non-tree edges as ears by
+    try_make_ear's rules, inline; each valid ear is accepted with
+    probability accept_prob (one RNG draw), and only an accepted one is
+    built (try_make_ear) and folded in (update_add_ear).  Returns right
+    after the first accepted ear with the scan left resumable, so repeated
+    calls grow S ear by ear until the queue empties or S reaches capacity.
     """
     adj = st.graph.adjacency
     parent = st.parent
     dist = st.dist
+    ear_root = st.ear_root
     evaluate = st.evaluate
     owner = st.owner
-    free = (-1, st.label)
+    label = st.label
     children = st.children
     queue = st.queue
     members = st.members
     accept_prob = st.accept_prob
     capacity = st.capacity
     while queue:
-        if len(members) >= capacity:
+        size = len(members)
+        if size >= capacity:
             break
         cur = queue.popleft()
-        if not evaluate[cur] or owner[cur] not in free:
+        oc = owner[cur]
+        if not evaluate[cur] or (oc != label and oc != -1):
             continue
-        if dist[cur] > capacity - len(members):
+        d = dist[cur]
+        room = capacity - size
+        if d > room:
             # too deep to seed an ear under current capacity; a future
             # re-root would re-enqueue it with a smaller dist
             continue
+        # fixed for the whole scan, which only extends the tree below cur
+        pc, rc = parent[cur], ear_root[cur]
+        rc_in = owner[rc] == label
         cur_kids = None
         for w in adj[cur]:
-            if owner[w] not in free:
+            ow = owner[w]
+            if (ow != label and ow != -1) or w == pc or parent[w] == cur:
                 continue
-            if parent[cur] == w or parent[w] == cur:
-                continue
-            if dist[w] == INF:
+            dw = dist[w]
+            if dw == INF:
                 parent[w] = cur
                 if cur_kids is None:
                     cur_kids = children.setdefault(cur, [])
                 cur_kids.append(w)
-                st.ear_root[w] = st.ear_root[cur]
-                dist[w] = dist[cur] + 1
+                ear_root[w] = rc
+                dist[w] = d + 1
                 evaluate[w] = 1
                 queue.append(w)
-            else:
-                ear = try_make_ear(st, cur, w)
-                if ear is None:
+            elif (rw := ear_root[w]) != rc:
+                rw_in = owner[rw] == label
+                if not (size == 1 or (rc_in and rw_in)):
+                    # dangling pre-cycle anchor; cannot attach to S
                     continue
-                if rng.random() <= accept_prob:
+                added = d + dw + (not rc_in) + (not rw_in)
+                if 0 < added <= room and rng.random() <= accept_prob:
+                    ear = try_make_ear(st, cur, w)
                     update_add_ear(st, ear)
                     st.last_ear = ear
                     # scan unfinished: cur was re-enqueued by the update

@@ -5,13 +5,15 @@ Each outer step draws a burst length MaxL in [2, max_exp_length], picks a
 random still-expandable subgraph and lets it add single ears until the
 burst is filled or it cannot continue.  All subgraphs share one owner list
 (node -> subgraph label, -1 = free), which is also the resulting
-assignment: every accepted ear writes its label over its new nodes, and the
-sibling subgraphs prune those nodes from their BFS trees.  A subgraph
-retires once its queue runs dry or it is full.
+assignment: every accepted ear writes its label over its new nodes and
+appends them to one claim log.  When a subgraph starts a burst it prunes
+the claims it has not seen from its BFS tree in one batch; a prune touches
+only that subgraph's tree and queue, so deferring it changes nothing.  A
+subgraph retires once its queue runs dry or it is full.
 
 RNG consumption order per outer step: burst length, subgraph pick, then
-one draw per ear discovered while growing.  Identical seeds give identical
-solutions.
+one draw per valid ear found while growing.  Identical seeds give
+identical solutions.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class Solution:
 
 def objective(assignment) -> int:
     """Number of assigned nodes (the quantity being maximized)."""
-    return sum(1 for a in assignment if a != -1)
+    return len(assignment) - assignment.count(-1)
 
 
 def _grow_parallel(instance: Instance, owner: list[int], labels, config: SolverConfig,
@@ -94,23 +96,25 @@ def _grow_parallel(instance: Instance, owner: list[int], labels, config: SolverC
         owner[roots[label]] = label
     states = [init_growth(instance.graph, roots[label], instance.capacity, config.p0, owner)
               for label in labels]
+    claimed: list[int] = []       # every node an ear took, in claim order
+    seen = [0] * len(states)      # per state: log length its tree has pruned
     expandable = list(range(len(states)))
     while expandable:
         max_l = rng.randint(2, config.max_exp_length)
         i = expandable[rng.randrange(len(expandable))]
         st = states[i]
+        update_bfs_tree_delete(st, claimed[seen[i]:])
+        start = len(st.members)
         grown = 0
         while grown < max_l:
             added = grow(st, rng)
-            if added:
-                grown += added
-                new_nodes = st.last_ear.added
-                for other in states:
-                    if other is not st:
-                        update_bfs_tree_delete(other, new_nodes)
+            grown += added
             if not added or len(st.members) >= instance.capacity:
                 expandable.remove(i)
                 break
+        # only this state claimed during its burst: it needs no prune of them
+        claimed += st.members[start:]
+        seen[i] = len(claimed)
     return owner
 
 

@@ -3,7 +3,8 @@
 Everything here is written from the definitions, on purpose sharing no code
 with src/: connectivity by plain BFS, bi-connectivity by delete-one-vertex
 connectivity, optima by exhaustive labeling, distances by multi-source BFS,
-and the GROW-N walk in its original rebuild-every-step form.
+the GROW-N walk in its original rebuild-every-step form, and ear growth and
+parallel construction in their build-before-draw, prune-every-sibling form.
 Slow is fine; these only run on small inputs.
 """
 
@@ -13,6 +14,7 @@ import random
 from itertools import product
 
 from bcpart import Instance, build_graph
+from bcpart.growth import INF, init_growth, try_make_ear, update_add_ear, update_bfs_tree_delete
 
 
 def connected(adjacency, nodes) -> bool:
@@ -207,6 +209,89 @@ def ref_grow_n_walk(adjacency, seeds, frontier_hits, target, k, attempts, rng):
                 return frozenset(members)
         size_goal += 1
     return None
+
+
+def ref_grow(st, rng) -> int:
+    """The first release's grow, kept verbatim as the reference for the
+    test-draw-build one: every valid ear is built by try_make_ear before
+    its draw."""
+    adj = st.graph.adjacency
+    parent = st.parent
+    dist = st.dist
+    evaluate = st.evaluate
+    owner = st.owner
+    free = (-1, st.label)
+    children = st.children
+    queue = st.queue
+    members = st.members
+    accept_prob = st.accept_prob
+    capacity = st.capacity
+    while queue:
+        if len(members) >= capacity:
+            break
+        cur = queue.popleft()
+        if not evaluate[cur] or owner[cur] not in free:
+            continue
+        if dist[cur] > capacity - len(members):
+            # too deep to seed an ear under current capacity; a future
+            # re-root would re-enqueue it with a smaller dist
+            continue
+        cur_kids = None
+        for w in adj[cur]:
+            if owner[w] not in free:
+                continue
+            if parent[cur] == w or parent[w] == cur:
+                continue
+            if dist[w] == INF:
+                parent[w] = cur
+                if cur_kids is None:
+                    cur_kids = children.setdefault(cur, [])
+                cur_kids.append(w)
+                st.ear_root[w] = st.ear_root[cur]
+                dist[w] = dist[cur] + 1
+                evaluate[w] = 1
+                queue.append(w)
+            else:
+                ear = try_make_ear(st, cur, w)
+                if ear is None:
+                    continue
+                if rng.random() <= accept_prob:
+                    update_add_ear(st, ear)
+                    st.last_ear = ear
+                    # scan unfinished: cur was re-enqueued by the update
+                    # and keeps its evaluate flag
+                    return len(ear.added)
+        evaluate[cur] = 0
+    return 0
+
+
+def ref_grow_parallel(instance, owner, labels, config, rng):
+    """The first release's parallel construction, kept verbatim as the
+    reference for the claim-log one: after every ear, every other state
+    (retired ones too) prunes the ear's new nodes at once."""
+    roots = instance.roots
+    for label in labels:
+        owner[roots[label]] = label
+    states = [init_growth(instance.graph, roots[label], instance.capacity, config.p0, owner)
+              for label in labels]
+    expandable = list(range(len(states)))
+    while expandable:
+        max_l = rng.randint(2, config.max_exp_length)
+        i = expandable[rng.randrange(len(expandable))]
+        st = states[i]
+        grown = 0
+        while grown < max_l:
+            added = ref_grow(st, rng)
+            if added:
+                grown += added
+                new_nodes = st.last_ear.added
+                for other in states:
+                    if other is not st:
+                        update_bfs_tree_delete(other, new_nodes)
+            if not added or len(st.members) >= instance.capacity:
+                expandable.remove(i)
+                break
+    return owner
 
 
 def random_graph(rng: random.Random, node_count: int, edge_prob: float):

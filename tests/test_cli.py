@@ -178,6 +178,8 @@ BAD_SPECS = {
     "config-unknown-keys": {**SPEC, "config": {"maxIters": 5, "stagnation": 3}},
     "config-seed": {**SPEC, "config": {"seed": 3}},
     "instances-per-pair-zero": {**SPEC, "instancesPerPair": 0},
+    "alpha-too-large-for-float": {**SPEC, "alpha": 10 ** 400},
+    "alpha-infinite": {**SPEC, "alpha": float("inf")},
 }
 
 
@@ -257,6 +259,22 @@ def test_malformed_instance_gives_value_error_and_json_exit_2(case, tmp_path, ca
         code, stdout, stderr = run_cli(capsys, command, "--instance", str(path))
         assert code == 2 and stdout == ""
         assert "error" in json.loads(stderr)
+
+
+@pytest.mark.parametrize("literal", ["1" + "0" * 400, "1e400", "NaN", "-Infinity"],
+                         ids=["int401", "1e400", "NaN", "-Infinity"])
+def test_coordinate_no_float_holds_gives_json_exit_2(literal, tmp_path, capsys):
+    nodes = json.dumps([{"id": i, "x": "X" if i else 0, "y": 0} for i in range(3)])
+    inst_path = tmp_path / "i.json"
+    inst_path.write_text(json.dumps({**TRIANGLE, "nodes": "NODES"})
+                         .replace('"NODES"', nodes).replace('"X"', literal))
+    sol_path = tmp_path / "s.json"
+    sol_path.write_text(json.dumps({"assignment": [0, 0, 0]}))
+    for argv in (("solve", "--instance", str(inst_path)),
+                 ("verify", "--instance", str(inst_path), "--solution", str(sol_path))):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert "node x" in json.loads(stderr)["error"]
 
 
 @pytest.mark.parametrize("payload", [
