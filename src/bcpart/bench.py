@@ -81,19 +81,25 @@ def _config_from_spec(cfg: dict) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
-def _run_one(job) -> tuple | None:
-    n, capacity, alpha, seed, mode, base_config = job
+def _run_one(job) -> list[tuple] | None:
+    """Generate one instance and solve it in every mode: one
+    (err_pct, iteration_of_best, wall_millis) per mode, or None when
+    generation fails."""
+    n, capacity, alpha, seed, modes, base_config = job
     try:
         gen = generate_instance(GenConfig(n=n, capacity=capacity, alpha=alpha, seed=seed))
     except GenerationError as exc:
         print(f"skip n={n} M={capacity} seed={seed}: {exc}", file=sys.stderr)
         return None
     instance = gen.instance
-    config = replace(base_config, seed=seed)
-    best, stats = local_search(instance, config, mode)
     opt = instance.known_optimum
-    err_pct = (opt - best.objective) / opt * 100.0
-    return (err_pct, stats.iteration_of_best, stats.wall_millis)
+    config = replace(base_config, seed=seed)
+    results = []
+    for mode in modes:
+        best, stats = local_search(instance, config, mode)
+        err_pct = (opt - best.objective) / opt * 100.0
+        results.append((err_pct, stats.iteration_of_best, stats.wall_millis))
+    return results
 
 
 def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list[BenchRow]:
@@ -120,22 +126,18 @@ def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list
         if check_type(mode, str, "mode") not in _MODE_LETTER:
             raise ValueError(f"unknown mode in bench spec: {mode}")
     config = _config_from_spec(check_type(spec.get("config", {}), dict, "config"))
-    jobs = []
-    for n, capacity in pairs:
-        for mode in modes:
-            for idx in range(count):
-                jobs.append((n, capacity, alpha, base_seed + idx, mode, config))
+    jobs = [(n, capacity, alpha, base_seed + idx, modes, config)
+            for n, capacity in pairs for idx in range(count)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as executor:
             results = list(executor.map(_run_one, jobs))
     else:
         results = [_run_one(job) for job in jobs]
     rows: list[BenchRow] = []
-    pos = 0
-    for n, capacity in pairs:
-        for mode in modes:
-            chunk = [r for r in results[pos:pos + count] if r is not None]
-            pos += count
+    for p, (n, capacity) in enumerate(pairs):
+        solved = [r for r in results[p * count:(p + 1) * count] if r is not None]
+        for mode_idx, mode in enumerate(modes):
+            chunk = [r[mode_idx] for r in solved]
             if not chunk:
                 raise GenerationError(
                     f"all {count} instances failed for n={n} M={capacity}")

@@ -23,6 +23,7 @@ from .graph import (
     articulation_points,
     biconnected_components,
     build_graph,
+    check_finite,
     disc_radius,
     is_biconnected,
     unit_disc_graph,
@@ -51,9 +52,9 @@ class GenConfig:
             raise ValueError("n must be >= 1")
         if self.capacity < 3:
             raise ValueError("capacity must be >= 3 (blocks need a cycle)")
-        if self.alpha <= 0:
+        if check_finite(self.alpha, "alpha") <= 0:
             raise ValueError("alpha must be positive")
-        if self.delta < 1.0:
+        if check_finite(self.delta, "delta") < 1.0:
             raise ValueError("delta must be >= 1")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must be in [0, 1]")
@@ -90,12 +91,19 @@ def _boundary_points(bw: float, bh: float, per_edge: int, rng: Random):
 
 
 def _trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int] | None:
-    """Shrink a bi-connected node set to `target` nodes.
+    """Shrink a bi-connected node set to `target` (>= 3) nodes.
 
     Repeatedly removes the outermost (farthest from the current centroid)
     non-cut node whose removal keeps the set bi-connected; gives up when no
-    single node can be removed safely.
+    single node can be removed safely.  Two exact tests on the neighbours
+    of the removed node v settle most removals before the set S - v (at
+    least 3 nodes) is rechecked whole: a neighbour left with fewer than 2
+    neighbours in S - v proves it is not bi-connected, and neighbours that
+    are bi-connected among themselves prove that it is.  (A cut vertex u of
+    S - v would split v's neighbours between two components of S - v - u,
+    as S - u is connected, and no path among them could avoid u.)
     """
+    adj = g.adjacency
     nodes = set(nodes)
     while len(nodes) > target:
         # one sweep per refresh of the cut set / centroid ordering; a node
@@ -112,7 +120,9 @@ def _trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int] | 
             if len(nodes) == target:
                 break
             nodes.discard(v)
-            if is_biconnected(g, nodes):
+            near = nodes.intersection(adj[v])
+            if all(len(nodes.intersection(adj[w])) >= 2 for w in near) \
+                    and (is_biconnected(g, near) or is_biconnected(g, nodes)):
                 removed_any = True
             else:
                 nodes.add(v)
@@ -216,7 +226,10 @@ def assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> Gener
     Every block after the first must gain at least max(3, ceil(gamma * its
     edge count)) cross edges to the already-placed graph; among the sampled
     positions that qualify, the one minimizing the merged maximum degree
-    wins.  Node ids are randomly permuted at the end.
+    wins (the first one on ties).  No position scores below the maximum
+    degree of the placed graph or of the block, so once a qualifying one
+    reaches that floor the remaining trials only draw their position.
+    Node ids are randomly permuted at the end.
     """
     d = disc_radius(cfg.alpha, cfg.n, cfg.capacity)
     d2 = d * d
@@ -241,9 +254,12 @@ def assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> Gener
             else:
                 min_con = max(3, math.ceil(cfg.gamma * block.graph.edge_count()))
                 best = None
+                floor = max(global_max_deg, max(block_deg))
                 for _ in range(cfg.position_trials):
                     tx = rng.uniform(0.0, 1.0 - bw)
                     ty = rng.uniform(0.0, 1.0 - bh)
+                    if best is not None and best[0] == floor:
+                        continue
                     abs_coords = [(x + tx, y + ty) for x, y in block.coords]
                     cross = _probe_cross(abs_coords, grid, pts, d2)
                     if len(cross) < min_con:

@@ -4,16 +4,21 @@ Everything here is written from the definitions, on purpose sharing no code
 with src/: connectivity by plain BFS, bi-connectivity by delete-one-vertex
 connectivity, optima by exhaustive labeling, distances by multi-source BFS,
 the GROW-N walk in its original rebuild-every-step form, and ear growth and
-parallel construction in their build-before-draw, prune-every-sibling form.
+parallel construction in their build-before-draw, prune-every-sibling form,
+and the generator's block trim and placement in their recheck-every-removal,
+probe-every-trial form.
 Slow is fine; these only run on small inputs.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import product
 
 from bcpart import Instance, build_graph
+from bcpart.generate import GeneratedInstance, GenerationError, _probe_cross
+from bcpart.graph import articulation_points, disc_radius, is_biconnected
 from bcpart.growth import INF, init_growth, try_make_ear, update_add_ear, update_bfs_tree_delete
 
 
@@ -292,6 +297,136 @@ def ref_grow_parallel(instance, owner, labels, config, rng):
                 expandable.remove(i)
                 break
     return owner
+
+
+def ref_trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int] | None:
+    """The first release's block trim, kept verbatim as the reference for
+    the one that tests the removed node's neighbours first: every candidate
+    removal is rechecked with is_biconnected on the whole set."""
+    nodes = set(nodes)
+    while len(nodes) > target:
+        # one sweep per refresh of the cut set / centroid ordering; a node
+        # that fails the recheck is skipped for the rest of the sweep
+        cut = articulation_points(g, nodes)
+        cx = sum(coords[u][0] for u in nodes) / len(nodes)
+        cy = sum(coords[u][1] for u in nodes) / len(nodes)
+        cands = sorted(
+            (u for u in nodes if u not in cut),
+            key=lambda u: (-((coords[u][0] - cx) ** 2 + (coords[u][1] - cy) ** 2), u),
+        )
+        removed_any = False
+        for v in cands:
+            if len(nodes) == target:
+                break
+            nodes.discard(v)
+            if is_biconnected(g, nodes):
+                removed_any = True
+            else:
+                nodes.add(v)
+        if not removed_any:
+            return None
+    return nodes
+
+
+def ref_assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> GeneratedInstance:
+    """The first release's placement, kept verbatim as the reference for
+    the one that skips trials that cannot win: every trial probes its
+    cross edges and scores its merged maximum degree."""
+    d = disc_radius(cfg.alpha, cfg.n, cfg.capacity)
+    d2 = d * d
+    inv = 1.0 / d
+    for _ in range(cfg.assembly_restarts):
+        pts: list[tuple[float, float]] = []
+        degrees: list[int] = []
+        membership: list[int] = []
+        edges: list[tuple[int, int]] = []
+        roots_global: list[int] = []
+        grid: dict[tuple[int, int], list[int]] = {}
+        global_max_deg = 0
+        ok = True
+        for bi, block in enumerate(blocks):
+            bw, bh = block.box
+            block_deg = [block.graph.degree(i) for i in range(len(block.coords))]
+            placed = None
+            if bi == 0:
+                tx = rng.uniform(0.0, 1.0 - bw)
+                ty = rng.uniform(0.0, 1.0 - bh)
+                placed = (tx, ty, [])
+            else:
+                min_con = max(3, math.ceil(cfg.gamma * block.graph.edge_count()))
+                best = None
+                for _ in range(cfg.position_trials):
+                    tx = rng.uniform(0.0, 1.0 - bw)
+                    ty = rng.uniform(0.0, 1.0 - bh)
+                    abs_coords = [(x + tx, y + ty) for x, y in block.coords]
+                    cross = _probe_cross(abs_coords, grid, pts, d2)
+                    if len(cross) < min_con:
+                        continue
+                    touched: dict[int, int] = {}
+                    bcnt = [0] * len(block.coords)
+                    for li, gj in cross:
+                        touched[gj] = touched.get(gj, 0) + 1
+                        bcnt[li] += 1
+                    cand_max = max(
+                        global_max_deg,
+                        max(degrees[gj] + c for gj, c in touched.items()),
+                        max(block_deg[li] + bcnt[li]
+                            for li in range(len(block.coords))),
+                    )
+                    if best is None or cand_max < best[0]:
+                        best = (cand_max, tx, ty, cross)
+                if best is None:
+                    ok = False
+                    break
+                placed = (best[1], best[2], best[3])
+            tx, ty, cross = placed
+            base = len(pts)
+            for li, (x, y) in enumerate(block.coords):
+                ax, ay = x + tx, y + ty
+                pts.append((ax, ay))
+                degrees.append(block_deg[li])
+                membership.append(bi)
+                grid.setdefault((int(ax * inv), int(ay * inv)), []).append(base + li)
+            for u, v in block.graph.edges():
+                edges.append((base + u, base + v))
+            for li, gj in cross:
+                edges.append((gj, base + li))
+                degrees[base + li] += 1
+                degrees[gj] += 1
+            roots_global.append(base + block.root)
+            block_max = max(degrees[base:])
+            if block_max > global_max_deg:
+                global_max_deg = block_max
+            for li, gj in cross:
+                if degrees[gj] > global_max_deg:
+                    global_max_deg = degrees[gj]
+        if not ok:
+            continue
+        total = len(pts)
+        perm = list(range(total))
+        rng.shuffle(perm)
+        new_coords: list[tuple[float, float] | None] = [None] * total
+        new_membership = [0] * total
+        for old in range(total):
+            new_coords[perm[old]] = pts[old]
+            new_membership[perm[old]] = membership[old]
+        new_edges = sorted(
+            (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
+            for u, v in edges
+        )
+        graph = build_graph(total, new_edges, coords=new_coords)
+        instance = Instance(
+            graph=graph,
+            roots=tuple(perm[r] for r in roots_global),
+            capacity=cfg.capacity,
+            known_optimum=total,
+            meta={"alpha": cfg.alpha, "seed": cfg.seed, "radius": d},
+        )
+        return GeneratedInstance(instance, tuple(new_membership))
+    raise GenerationError(
+        f"could not place all {cfg.n} blocks with enough cross edges after "
+        f"{cfg.assembly_restarts} assembly passes")
+
 
 
 def random_graph(rng: random.Random, node_count: int, edge_prob: float):

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import bcpart
-from bcpart import (GenerationError, instance_from_json, load_instance, load_solution,
-                    run_bench, solution_from_json, verify_solution)
+from bcpart import (GenerationError, generate_instance, instance_from_json, load_instance,
+                    load_solution, run_bench, solution_from_json, verify_solution)
 from bcpart.cli import main
 
 
@@ -148,6 +148,29 @@ def test_bench_command_csv(tmp_path, capsys):
     run_cli(capsys, "bench", "--spec", str(spec_path), "--out", str(csv2),
             "--no-timing")
     assert csv2.read_text() == csv_path.read_text()
+
+
+def test_bench_generates_each_instance_once_for_all_modes(monkeypatch, capsys):
+    calls = []
+
+    def counted(cfg):
+        calls.append((cfg.n, cfg.seed))
+        if cfg.seed == 1:
+            raise GenerationError("out of budget")
+        return generate_instance(cfg)
+    monkeypatch.setattr("bcpart.bench.generate_instance", counted)
+    spec = {"pairs": [[2, 5], [3, 5]], "instancesPerPair": 3, "modes": ["grow-r", "grow-n"],
+            "config": {"maxIterations": 30, "stagnationLimit": 10}}
+    rows = run_bench(spec, include_timing=False)
+    assert calls == [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]
+    assert [(row.n, row.mode) for row in rows] == [(2, "R"), (2, "N"), (3, "R"), (3, "N")]
+    assert capsys.readouterr().err.count("seed=1") == 2
+    # the skipped seed is dropped from every mode: each row is the mean of seeds 0 and 2
+    single = [run_bench({**spec, "instancesPerPair": 1, "baseSeed": seed}, include_timing=False)
+              for seed in (0, 2)]
+    for row, first, last in zip(rows, *single):
+        assert row.avg_iter == (first.avg_iter + last.avg_iter) / 2
+        assert row.avg_err_pct == pytest.approx((first.avg_err_pct + last.avg_err_pct) / 2)
 
 
 def test_missing_file_gives_json_error(capsys):
@@ -305,6 +328,17 @@ def test_generation_failure_gives_json_exit_2(tmp_path, capsys, monkeypatch):
                               "--out", str(tmp_path / "i.json"))
     assert code == 2
     assert "budget" in json.loads(stderr)["error"]
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_non_finite_alpha_gives_json_exit_2_before_sampling(alpha, tmp_path, capsys, monkeypatch):
+    def sampled(cfg):
+        raise AssertionError("generation started")
+    monkeypatch.setattr("bcpart.cli.generate_instance", sampled)
+    code, stdout, stderr = run_cli(capsys, "generate", "--n", "2", "--m", "5", "--alpha", alpha,
+                                   "--out", str(tmp_path / "i.json"))
+    assert code == 2 and stdout == ""
+    assert "alpha must be finite" in json.loads(stderr)["error"]
 
 
 # the file-reading subcommands and the files each one reads

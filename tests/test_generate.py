@@ -153,6 +153,11 @@ def test_gen_config_validation():
         GenConfig(n=1, capacity=2, alpha=2.0)
     with pytest.raises(ValueError):
         GenConfig(n=1, capacity=5, alpha=0.0)
+    for bad in (math.inf, -math.inf, math.nan, 10**400):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            GenConfig(n=1, capacity=5, alpha=bad)
+        with pytest.raises(ValueError, match="delta must be finite"):
+            GenConfig(n=1, capacity=5, alpha=2.0, delta=bad)
 
 
 def test_reduction_example_values():

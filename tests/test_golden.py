@@ -55,6 +55,10 @@ def _bench_csv():
 CASES = {
     "instance-5x10-a2.0-s0": lambda: instance_to_json(_instance(5, 10, 2.0, 0)),
     "instance-4x7-a1.5-s11": lambda: instance_to_json(_instance(4, 7, 1.5, 11)),
+    # placement-heavy: 29 placements of 1,000 position trials each
+    "instance-30x20-a2.0-s7": lambda: instance_to_json(_instance(30, 20, 2.0, 7)),
+    # trim-heavy: about 2,000 candidate removals in block trimming
+    "instance-2x60-a2.0-s5": lambda: instance_to_json(_instance(2, 60, 2.0, 5)),
     "single-pass-5x10-seed3": lambda: _single_pass(3),
     "grow-r-5x10-default-seed1": lambda: _search((5, 10, 2.0, 0), GROW_R, SolverConfig(seed=1)),
     "grow-n-5x10-default-seed1": lambda: _search((5, 10, 2.0, 0), GROW_N, SolverConfig(seed=1)),
@@ -84,6 +88,10 @@ GOLDEN = {
         "57e873242e5568add918a394ea1e4668f6678d5e6c41462d6ef129b33502fede",
     "grow-r-5x10-default-seed1":
         "e62f4a862111eec490fe07ef93e456bf396f72d88c247eb99097f2007cd90164",
+    "instance-2x60-a2.0-s5":
+        "228dd1eee72a19cb3dd91a19686aa857ce279e4edfa8ea458aaf10c83540725e",
+    "instance-30x20-a2.0-s7":
+        "a48e11a3acef59e718032cc63c67b74516fb6e22ac54f092b5d7c9468b61c7e9",
     "instance-4x7-a1.5-s11":
         "814193eeffba08e6c50b41ce7235059e35368e002fa3ba24acb7c571c1cbbd76",
     "instance-5x10-a2.0-s0":
