@@ -105,9 +105,12 @@ def _run_one(job) -> list[tuple] | None:
 def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list[BenchRow]:
     """Execute a bench spec; returns rows in (pair, mode) order.
 
-    An unknown key, a spec field of the wrong type or an unknown mode
-    raises ValueError before any instance is generated.
+    An unknown key, a spec field of the wrong type, an unknown mode or
+    workers < 1 raises ValueError before any instance is generated.  The
+    process pool never gets more workers than there are instances.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     for key in check_type(spec, dict, "bench spec"):
         if key not in _SPEC_KEYS:
             raise ValueError(f"unknown bench spec key {key!r}")
@@ -128,6 +131,7 @@ def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list
     config = _config_from_spec(check_type(spec.get("config", {}), dict, "config"))
     jobs = [(n, capacity, alpha, base_seed + idx, modes, config)
             for n, capacity in pairs for idx in range(count)]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as executor:
             results = list(executor.map(_run_one, jobs))

@@ -16,10 +16,18 @@ nodes.
 GROW-N RNG contract: each walk attempt makes one draw,
 rng.randrange(len(seeds)), to pick its seed among the non-full subgraphs in
 index order, then one draw per step, rng.randrange(len(fringe)), that indexes
-the fringe (the members' neighbors outside the set) sorted ascending.  The
-walk updates that sorted fringe as members join instead of rebuilding it,
-so a step costs O(deg log |fringe|) comparisons; any rewrite must keep these
-draws in this order, or every seeded output changes.
+the fringe (the members' neighbors outside the set) sorted ascending.  Any
+rewrite must keep these draws in this order, or every seeded output changes.
+The walk makes each draw as randrange's own rejection loop, written inline:
+getrandbits(n.bit_length()) until the value is below n, so it consumes the
+same RNG words as CPython's rng.randrange(n).
+
+A walk state depends only on its member set M: the fringe is sorted(N(M) - M)
+and the seen set M | N(M).  select_regrow_set keys these states by the member
+bitmask in a memo that local_search makes afresh whenever it rebuilds the
+neighbor graph, and derives a missing state from its parent's in one step.
+Only sets with fewer than config.regrow_size members are stored, which bounds
+the memo; the rare deeper steps are derived and dropped.
 """
 
 from __future__ import annotations
@@ -114,7 +122,8 @@ def build_neighbor_graph(instance: Instance,
 
 def select_regrow_set(instance: Instance, neighbors: list[tuple[int, ...]],
                       sizes: list[int], frontier_hits: list[int], m: int, mode: str,
-                      config: SolverConfig, rng: Random) -> frozenset[int] | None:
+                      config: SolverConfig, rng: Random,
+                      memo: dict[int, tuple[list[int], int]]) -> frozenset[int] | None:
     """Choose the subgraphs to dissolve; None when no useful set exists.
 
     The target size m is capped at the subgraph count.  Any returned set
@@ -122,7 +131,9 @@ def select_regrow_set(instance: Instance, neighbors: list[tuple[int, ...]],
     connected subgraph of the neighbor graph grown from a random non-full
     seed (a set that exhausts its component below m is still accepted when
     it touches unassigned nodes).  `neighbors` and `frontier_hits` come
-    from build_neighbor_graph, `sizes` from Solution.sizes.
+    from build_neighbor_graph, `sizes` from Solution.sizes.  `memo` caches
+    the GROW-N walk states; pass the same dict for every call over one
+    neighbor graph and a new one when the graph changes.
     """
     if mode not in (GROW_R, GROW_N):
         raise ValueError(f"unknown regrow mode: {mode}")
@@ -141,27 +152,50 @@ def select_regrow_set(instance: Instance, neighbors: list[tuple[int, ...]],
         while len(members) < target and rest:
             members.add(rest.pop(rng.randrange(len(rest))))
         return frozenset(members)
-    hits_set = set(frontier_hits)
+    getrandbits = rng.getrandbits
+    hit_mask = sum(1 << i for i in frontier_hits)
+    n_seeds = len(seeds)
+    seed_bits = n_seeds.bit_length()
+    bound = config.regrow_size
     size_goal = target
     while size_goal <= k:
         for _ in range(config.grow_n_attempts):
-            u = seeds[rng.randrange(len(seeds))]
-            members = {u}
-            # fringe: the members' neighbors outside the set, kept ascending;
-            # each new member adds its unseen neighbors (seen = members | fringe)
-            seen = {u}
-            fringe: list[int] = []
-            while len(members) < size_goal:
-                for w in neighbors[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        insort(fringe, w)
-                if not fringe:
+            # rng.randrange(n_seeds), inlined: the same getrandbits words
+            r = getrandbits(seed_bits)
+            while r >= n_seeds:
+                r = getrandbits(seed_bits)
+            u = seeds[r]
+            mask = 1 << u
+            size = 1
+            # as if u were drawn at index 0 from a fringe holding only u
+            fringe, seen, r = [u], mask, 0
+            while size < size_goal:
+                state = memo.get(mask)
+                if state is None:
+                    # the state of mask from its parent's: drop the drawn
+                    # index, add u's unseen neighbors (never touch a stored list)
+                    fringe = fringe[:r] + fringe[r + 1:]
+                    for w in neighbors[u]:
+                        if not seen >> w & 1:
+                            seen |= 1 << w
+                            insort(fringe, w)
+                    if size < bound:
+                        memo[mask] = (fringe, seen)
+                else:
+                    fringe, seen = state
+                n = len(fringe)
+                if not n:
                     break
-                u = fringe.pop(rng.randrange(len(fringe)))
-                members.add(u)
-            if not hits_set.isdisjoint(members):
-                return frozenset(members)
+                # rng.randrange(n), inlined
+                b = n.bit_length()
+                r = getrandbits(b)
+                while r >= n:
+                    r = getrandbits(b)
+                u = fringe[r]
+                mask |= 1 << u
+                size += 1
+            if mask & hit_mask:
+                return frozenset(i for i in range(k) if mask >> i & 1)
         size_goal += 1
     return None
 
@@ -198,6 +232,7 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
     k = instance.subgraph_count
     n = instance.graph.node_count
     neighbors, hits = build_neighbor_graph(instance, best)
+    memo = {}
     sizes = best.sizes(k)
     stagnation = 0
     while generated < config.max_iterations and stagnation < config.stagnation_limit:
@@ -206,7 +241,8 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
         if all(s >= instance.capacity for s in sizes):
             break
         m = rng.randint(2, config.regrow_size)
-        pick = select_regrow_set(instance, neighbors, sizes, hits, m, mode, config, rng)
+        pick = select_regrow_set(instance, neighbors, sizes, hits, m, mode, config, rng,
+                                 memo)
         if pick is None:
             break
         candidate = regrow_partial(instance, best, pick, config, rng)
@@ -220,6 +256,7 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
                 stagnation += 1
             best = candidate
             neighbors, hits = build_neighbor_graph(instance, best)
+            memo = {}
             sizes = best.sizes(k)
             if trace is not None:
                 trace.append((generated, best.objective))

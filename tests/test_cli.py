@@ -173,6 +173,39 @@ def test_bench_generates_each_instance_once_for_all_modes(monkeypatch, capsys):
         assert row.avg_err_pct == pytest.approx((first.avg_err_pct + last.avg_err_pct) / 2)
 
 
+def test_bench_pool_is_capped_at_the_job_count(monkeypatch, tmp_path, capsys):
+    # an in-process stand-in records the pool size; no real pool is started
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+    monkeypatch.setattr("bcpart.bench.ProcessPoolExecutor", InProcessPool)
+    spec = {"pairs": [[2, 5]], "instancesPerPair": 2, "modes": ["grow-r", "grow-n"],
+            "config": {"maxIterations": 30, "stagnationLimit": 10}}
+    rows = run_bench(spec, workers=5000, include_timing=False)
+    assert sizes == [2]
+    assert rows == run_bench(spec, workers=1, include_timing=False)
+    assert sizes == [2]
+    with pytest.raises(ValueError):
+        run_bench(spec, workers=0)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, _, stderr = run_cli(capsys, "bench", "--spec", str(spec_path), "--workers", "0")
+    assert code == 2
+    assert "workers" in json.loads(stderr)["error"]
+    assert sizes == [2]
+
+
 def test_missing_file_gives_json_error(capsys):
     code, _, stderr = run_cli(capsys, "solve", "--instance", "/nonexistent.json")
     assert code == 2

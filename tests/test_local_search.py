@@ -119,7 +119,7 @@ def test_select_all_full_returns_none():
     ng, hits = build_neighbor_graph(inst, sol)
     for mode in (GROW_R, GROW_N):
         picked = select_regrow_set(inst, ng, sol.sizes(2), hits, 2, mode,
-                                   SolverConfig(seed=0), random.Random(0))
+                                   SolverConfig(seed=0), random.Random(0), {})
         assert picked is None    # both subgraphs are at capacity
 
 
@@ -131,7 +131,7 @@ def test_select_needs_unassigned_frontier():
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1))
     ng, hits = build_neighbor_graph(inst, sol)
     picked = select_regrow_set(inst, ng, sol.sizes(2), hits, 2, GROW_R,
-                               SolverConfig(seed=0), random.Random(0))
+                               SolverConfig(seed=0), random.Random(0), {})
     assert picked is None
 
 
@@ -142,7 +142,7 @@ def test_select_grow_r_members():
     ng, hits = build_neighbor_graph(inst, sol)
     for seed in range(30):
         picked = select_regrow_set(inst, ng, sol.sizes(3), hits, 2, GROW_R,
-                                   SolverConfig(seed=seed), random.Random(seed))
+                                   SolverConfig(seed=seed), random.Random(seed), {})
         assert picked is not None and len(picked) == 2
         assert any(len([u for u in range(11) if sol.assignment[u] == i]) < 3
                    for i in picked)
@@ -157,7 +157,7 @@ def test_select_grow_n_members_connected():
         ng, hits = build_neighbor_graph(inst, sol)
         m = rng.randint(2, 4)
         picked = select_regrow_set(inst, ng, sol.sizes(len(inst.roots)), hits, m, GROW_N,
-                                   SolverConfig(seed=seed), random.Random(seed))
+                                   SolverConfig(seed=seed), random.Random(seed), {})
         if picked is None:
             continue
         members = sorted(picked)
@@ -216,18 +216,25 @@ def walk_inputs(draw):
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(walk_inputs(), st.integers(1, 12), st.integers(1, 50), st.integers(0, 2**32))
-def test_grow_n_walk_matches_reference_draw_for_draw(inputs, m, attempts, seed):
+@given(walk_inputs(), st.lists(st.integers(1, 12), min_size=3, max_size=3, unique=True),
+       st.integers(2, 12), st.integers(1, 50), st.integers(0, 2**32))
+def test_grow_n_walk_matches_reference_draw_for_draw(inputs, ms, regrow_size, attempts,
+                                                     seed):
+    # three selects over one neighbor graph share one walk-state memo, as
+    # they do in local_search between two rebuilds of the graph
     k, adjacency, sizes, hits = inputs
     inst = Instance(graph=build_graph(k, []), roots=tuple(range(k)), capacity=CAPACITY)
     neighbors = [adjacency.get(i, ()) for i in range(k)]
-    config = SolverConfig(grow_n_attempts=attempts)
-    rng, ref_rng = random.Random(seed), random.Random(seed)
-    picked = select_regrow_set(inst, neighbors, sizes, hits, m, GROW_N, config, rng)
+    config = SolverConfig(grow_n_attempts=attempts, regrow_size=regrow_size)
     seeds = [i for i in range(k) if sizes[i] < CAPACITY]
-    expected = ref_grow_n_walk(adjacency, seeds, hits, min(m, k), k, attempts, ref_rng)
-    assert picked == expected
-    assert rng.getstate() == ref_rng.getstate()
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    memo = {}
+    for m in ms:
+        picked = select_regrow_set(inst, neighbors, sizes, hits, m, GROW_N, config, rng, memo)
+        expected = ref_grow_n_walk(adjacency, seeds, hits, min(m, k), k, attempts, ref_rng)
+        assert picked == expected
+        assert rng.getstate() == ref_rng.getstate()
+    assert all(bin(mask).count("1") < regrow_size for mask in memo)
 
 
 def test_regrow_never_touches_outside_subgraphs():
@@ -238,7 +245,7 @@ def test_regrow_never_touches_outside_subgraphs():
         sol = generate_solution(inst, SolverConfig(seed=seed), random.Random(seed))
         ng, hits = build_neighbor_graph(inst, sol)
         picked = select_regrow_set(inst, ng, sol.sizes(len(inst.roots)), hits,
-                                   rng.randint(2, 3), GROW_R, SolverConfig(seed=seed), rng)
+                                   rng.randint(2, 3), GROW_R, SolverConfig(seed=seed), rng, {})
         if picked is None:
             continue
         cases += 1
