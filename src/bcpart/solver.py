@@ -11,6 +11,11 @@ the claims it has not seen from its BFS tree in one batch; a prune touches
 only that subgraph's tree and queue, so deferring it changes nothing.  A
 subgraph retires once its queue runs dry or it is full.
 
+The claim log is also what a caller gets back: the grown subgraphs are
+exactly their roots plus the logged nodes, so local search reads the
+candidate's objective and its new member lists from it without a scan of
+the whole owner list.
+
 RNG consumption order per outer step: burst length, subgraph pick, then
 one draw per valid ear found while growing.  Identical seeds give
 identical solutions.
@@ -88,8 +93,10 @@ def _grow_parallel(instance: Instance, owner: list[int], labels, config: SolverC
 
     `owner` maps each node to the label of the subgraph holding it, -1 when
     free; the roots to grow must be free.  The grown subgraphs may take free
-    nodes only; every node holding another label is off limits.  Returns
-    `owner`, updated in place, which is the new assignment.
+    nodes only; every node holding another label is off limits.  `owner` is
+    updated in place and becomes the new assignment.  Returns the claim
+    log: every node the ears took, in claim order, roots excluded, each
+    now holding its subgraph's label in `owner`.
     """
     roots = instance.roots
     for label in labels:
@@ -115,13 +122,14 @@ def _grow_parallel(instance: Instance, owner: list[int], labels, config: SolverC
         # only this state claimed during its burst: it needs no prune of them
         claimed += st.members[start:]
         seen[i] = len(claimed)
-    return owner
+    return claimed
 
 
 def generate_solution(instance: Instance, config: SolverConfig, rng) -> Solution:
     """Build one full solution by parallel randomized growth."""
-    return Solution(_grow_parallel(instance, [-1] * instance.graph.node_count,
-                                   range(instance.subgraph_count), config, rng))
+    owner = [-1] * instance.graph.node_count
+    _grow_parallel(instance, owner, range(instance.subgraph_count), config, rng)
+    return Solution(owner)
 
 
 def solution_to_json(solution: Solution, seed: int) -> str:

@@ -5,7 +5,8 @@ with src/: connectivity by plain BFS, bi-connectivity by delete-one-vertex
 connectivity, optima by exhaustive labeling, distances by multi-source BFS,
 the GROW-N walk in its original rebuild-every-step form, and ear growth and
 parallel construction in their build-before-draw, prune-every-sibling form,
-and the generator's block trim and placement in their recheck-every-removal,
+the local search in its copy-every-candidate, rebuild-every-accept form, and
+the generator's block trim and placement in their recheck-every-removal,
 probe-every-trial form.
 Slow is fine; these only run on small inputs.
 """
@@ -14,9 +15,11 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from itertools import product
 
-from bcpart import Instance, build_graph
+from bcpart import GROW_N, GROW_R, Instance, Solution, build_graph
+from bcpart.local_search import SearchStats, select_regrow_set
 from bcpart.generate import GeneratedInstance, GenerationError, _probe_cross
 from bcpart.graph import articulation_points, disc_radius, is_biconnected
 from bcpart.growth import INF, init_growth, try_make_ear, update_add_ear, update_bfs_tree_delete
@@ -297,6 +300,120 @@ def ref_grow_parallel(instance, owner, labels, config, rng):
                 expandable.remove(i)
                 break
     return owner
+
+
+def ref_build_neighbor_graph(instance, solution):
+    """The rebuild-every-accept neighbor graph, kept verbatim as the
+    reference for the incremental one: every call scans every edge and
+    floods every unassigned component."""
+    g = instance.graph
+    adj = g.adjacency
+    assignment = solution.assignment
+    linked: list[set[int]] = [set() for _ in range(instance.subgraph_count)]
+    for u in range(g.node_count):
+        au = assignment[u]
+        if au == -1:
+            continue
+        for w in adj[u]:
+            if w > u:
+                aw = assignment[w]
+                if aw != -1 and aw != au:
+                    linked[au].add(aw)
+                    linked[aw].add(au)
+    hits: set[int] = set()
+    seen = bytearray(g.node_count)
+    for s in range(g.node_count):
+        if assignment[s] != -1 or seen[s]:
+            continue
+        # flood one unassigned component, collecting bordering subgraphs
+        comp_subs: set[int] = set()
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                aw = assignment[w]
+                if aw == -1:
+                    if not seen[w]:
+                        seen[w] = 1
+                        stack.append(w)
+                else:
+                    comp_subs.add(aw)
+        for a in comp_subs:
+            linked[a] |= comp_subs
+        hits |= comp_subs
+    return [tuple(sorted(vs - {i})) for i, vs in enumerate(linked)], sorted(hits)
+
+
+def ref_regrow_partial(instance, solution, members, config, rng):
+    """The copy-every-candidate regrowth, kept verbatim (with the reference
+    construction) as the reference for the in-place one."""
+    chosen = set(members)
+    if not chosen:
+        raise ValueError("regrow set must not be empty")
+    owner = [-1 if a in chosen else a for a in solution.assignment]
+    return Solution(ref_grow_parallel(instance, owner, sorted(chosen), config, rng))
+
+
+def ref_local_search(instance, config, mode, trace=None):
+    """The local search that builds a Solution per candidate and rebuilds
+    the neighbor graph and the sizes per accept, kept verbatim (with the
+    reference construction and regrowth) as the reference for the in-place
+    one."""
+    if mode not in (GROW_R, GROW_N):
+        raise ValueError(f"unknown regrow mode: {mode}")
+    rng = random.Random(config.seed)
+    t0 = time.perf_counter()
+    best = Solution(ref_grow_parallel(instance, [-1] * instance.graph.node_count,
+                                      range(instance.subgraph_count), config, rng))
+    generated = 1
+    best_iter = 1
+    best_ms = (time.perf_counter() - t0) * 1000.0
+    if trace is not None:
+        trace.append((1, best.objective))
+    k = instance.subgraph_count
+    n = instance.graph.node_count
+    neighbors, hits = ref_build_neighbor_graph(instance, best)
+    memo = {}
+    sizes = best.sizes(k)
+    stagnation = 0
+    while generated < config.max_iterations and stagnation < config.stagnation_limit:
+        if best.objective == n:
+            break
+        if all(s >= instance.capacity for s in sizes):
+            break
+        m = rng.randint(2, config.regrow_size)
+        pick = select_regrow_set(instance, neighbors, sizes, hits, m, mode, config, rng,
+                                 memo)
+        if pick is None:
+            break
+        candidate = ref_regrow_partial(instance, best, pick, config, rng)
+        generated += 1
+        if candidate.objective >= best.objective:
+            if candidate.objective > best.objective:
+                stagnation = 0
+                best_iter = generated
+                best_ms = (time.perf_counter() - t0) * 1000.0
+            else:
+                stagnation += 1
+            best = candidate
+            neighbors, hits = ref_build_neighbor_graph(instance, best)
+            memo = {}
+            sizes = best.sizes(k)
+            if trace is not None:
+                trace.append((generated, best.objective))
+        else:
+            stagnation += 1
+    total_ms = (time.perf_counter() - t0) * 1000.0
+    return best, SearchStats(
+        best_objective=best.objective,
+        iterations=generated,
+        iteration_of_best=best_iter,
+        wall_millis=best_ms,
+        seed=config.seed,
+        mode=mode,
+        total_millis=total_ms,
+    )
 
 
 def ref_trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int] | None:

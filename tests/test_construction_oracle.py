@@ -49,15 +49,26 @@ def test_construction_and_regrowth_match_reference(seed, k, capacity, p0):
     n = instance.graph.node_count
 
     rng, ref_rng = Random(s_build), Random(s_build)
-    built = _grow_parallel(instance, [-1] * n, range(k), config, rng)
+    built = [-1] * n
+    claims = _grow_parallel(instance, built, range(k), config, rng)
     assert built == ref_grow_parallel(instance, [-1] * n, range(k), config, ref_rng)
     assert rng.getstate() == ref_rng.getstate()
+    assert_claim_log(claims, [-1] * n, built, instance, range(k))
 
     owner, chosen = reset_labels(built, instance, s_pick)
     rng, ref_rng = Random(s_regrow), Random(s_regrow)
-    regrown = _grow_parallel(instance, list(owner), chosen, config, rng)
+    regrown = list(owner)
+    claims = _grow_parallel(instance, regrown, chosen, config, rng)
     assert regrown == ref_grow_parallel(instance, list(owner), chosen, config, ref_rng)
     assert rng.getstate() == ref_rng.getstate()
+    assert_claim_log(claims, owner, regrown, instance, chosen)
+
+
+def assert_claim_log(claims, before, after, instance, labels):
+    """The log holds each node the growth labelled exactly once, roots aside."""
+    roots = {instance.roots[a] for a in labels}
+    changed = [u for u in range(len(after)) if after[u] != before[u] and u not in roots]
+    assert sorted(claims) == changed
 
 
 def assert_tree_invariant(state):
@@ -102,8 +113,8 @@ def test_ear_roots_reachable_after_every_ear_and_prune(seed, k, capacity, p0):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "grow", checked_grow)
         mp.setattr(solver, "update_bfs_tree_delete", checked_prune)
-        built = _grow_parallel(instance, [-1] * instance.graph.node_count, range(k),
-                               config, Random(s_build))
+        built = [-1] * instance.graph.node_count
+        _grow_parallel(instance, built, range(k), config, Random(s_build))
         owner, chosen = reset_labels(built, instance, s_pick)
         _grow_parallel(instance, owner, chosen, config, Random(s_regrow))
     assert checks[0] >= 2   # at least one prune batch per run

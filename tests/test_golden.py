@@ -70,12 +70,19 @@ CASES = {
     "grow-r-25x10-s300-capped400": lambda: _search(
         (25, 10, 2.0, 300), GROW_R,
         SolverConfig(seed=0, max_iterations=400, stagnation_limit=400)),
+    # 100 subgraphs: every accept refreshes the neighbour-graph rows of
+    # many labels at once
+    "grow-n-100x30-s42-capped100": lambda: _search(
+        (100, 30, 2.0, 42), GROW_N,
+        SolverConfig(seed=7, max_iterations=100, stagnation_limit=100)),
     "bench-csv-no-timing": _bench_csv,
 }
 
 GOLDEN = {
     "bench-csv-no-timing":
         "8eaf54ea5ae25bfad183c7ef7e9e4a3e3eb1169e9699d6d238e5300c1b966999",
+    "grow-n-100x30-s42-capped100":
+        "2c88201aa5bb6171583fc2eda920cb114635732ddad1bc1994fbae7d426b596e",
     "grow-n-25x10-s300-capped400":
         "348d4bc05b6e8c74927029f8f75fc49aae6d2d72e1761287945bb3d04db07eb8",
     "grow-n-4x7-default-seed5":

@@ -1,12 +1,34 @@
+import importlib
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bcpart import (GROW_N, GROW_R, Instance, Solution, SolverConfig, build_graph,
                     generate_solution, local_search, verify_solution)
-from bcpart.local_search import build_neighbor_graph, regrow_partial, select_regrow_set
+from bcpart.local_search import (NeighborLinks, build_neighbor_graph, regrow_partial,
+                                 select_regrow_set)
 from oracles import random_instance, ref_grow_n_walk, unassigned_path_exists
+
+# the package re-exports a function named local_search, so the module is
+# looked up by its full name
+ls = importlib.import_module("bcpart.local_search")
+
+
+def working_copy(inst, sol):
+    """The in-place search state of a solution: owner list, member lists, free set."""
+    owner = list(sol.assignment)
+    members = [sol.subgraph_nodes(i) for i in range(inst.subgraph_count)]
+    free = {u for u, a in enumerate(owner) if a == -1}
+    return owner, members, free
+
+
+def neighbor_graph(inst, sol):
+    """build_neighbor_graph's first build: empty direct rows, every label."""
+    owner, members, free = working_copy(inst, sol)
+    k = inst.subgraph_count
+    return build_neighbor_graph(inst, owner, members, free, NeighborLinks(k), range(k))
 
 
 def three_triangles():
@@ -30,7 +52,7 @@ def test_frontier_of_singleton_root():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     inst = Instance(graph=g, roots=(0,), capacity=4)
     sol = Solution(assignment=(0, -1, -1, -1))
-    assert build_neighbor_graph(inst, sol) == ([()], [0])
+    assert neighbor_graph(inst, sol) == ([()], [0])
 
 
 def test_frontier_of_isolated_subgraph():
@@ -38,7 +60,7 @@ def test_frontier_of_isolated_subgraph():
     g = build_graph(7, edges)   # node 6 isolated, unassigned
     inst = Instance(graph=g, roots=(0, 3), capacity=3)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1))
-    assert build_neighbor_graph(inst, sol) == ([(), ()], [])
+    assert neighbor_graph(inst, sol) == ([(), ()], [])
 
 
 def test_frontiers_of_touching_subgraphs():
@@ -46,17 +68,17 @@ def test_frontiers_of_touching_subgraphs():
     # and sits next to 7 and 8 of subgraph 2
     inst, _ = three_triangles()
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1, 2, 2, 0, 0))
-    assert build_neighbor_graph(inst, sol)[1] == [1, 2]
+    assert neighbor_graph(inst, sol)[1] == [1, 2]
 
 
 def test_neighbor_graph_direct_and_via():
     # 1-2 share an edge; 0 reaches both only through the connectors
     inst, sol = three_triangles()
-    assert build_neighbor_graph(inst, sol) == ([(1, 2), (0, 2), (0, 1)], [0, 1, 2])
+    assert neighbor_graph(inst, sol) == ([(1, 2), (0, 2), (0, 1)], [0, 1, 2])
     # cut 0 off from the connectors: only the shared edge is left
     g = build_graph(11, [e for e in inst.graph.edges() if e not in ((2, 9), (1, 10))])
     apart = Instance(graph=g, roots=inst.roots, capacity=3)
-    assert build_neighbor_graph(apart, sol) == ([(), (2,), (1,)], [1, 2])
+    assert neighbor_graph(apart, sol) == ([(), (2,), (1,)], [1, 2])
 
 
 def test_neighbor_graph_no_unassigned():
@@ -64,7 +86,7 @@ def test_neighbor_graph_no_unassigned():
     g = build_graph(6, edges)
     inst = Instance(graph=g, roots=(0, 3), capacity=3)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1))
-    assert build_neighbor_graph(inst, sol) == ([(1,), (0,)], [])
+    assert neighbor_graph(inst, sol) == ([(1,), (0,)], [])
 
 
 def test_neighbor_graph_fully_disconnected():
@@ -72,7 +94,7 @@ def test_neighbor_graph_fully_disconnected():
     g = build_graph(6, edges)
     inst = Instance(graph=g, roots=(0, 3), capacity=3)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1))
-    assert build_neighbor_graph(inst, sol) == ([(), ()], [])
+    assert neighbor_graph(inst, sol) == ([(), ()], [])
 
 
 def test_connector_component_links_all_bordering_subgraphs():
@@ -82,10 +104,10 @@ def test_connector_component_links_all_bordering_subgraphs():
     edges = [e for e in inst.graph.edges() if e != (5, 6)]
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, 2, 2, 2, -1, -1, -1))
     apart = Instance(graph=build_graph(12, edges), roots=(0, 3, 6), capacity=3)
-    assert build_neighbor_graph(apart, sol) == ([(1, 2), (0,), (0,)], [0, 1, 2])
+    assert neighbor_graph(apart, sol) == ([(1, 2), (0,), (0,)], [0, 1, 2])
     joined = Instance(graph=build_graph(12, edges + [(9, 11), (11, 10)]),
                       roots=(0, 3, 6), capacity=3)
-    assert build_neighbor_graph(joined, sol) == ([(1, 2), (0, 2), (0, 1)], [0, 1, 2])
+    assert neighbor_graph(joined, sol) == ([(1, 2), (0, 2), (0, 1)], [0, 1, 2])
 
 
 def test_via_edges_match_exhaustive_path_search():
@@ -107,8 +129,8 @@ def test_via_edges_match_exhaustive_path_search():
                     expected[j].add(i)
         hits = {a[w] for u in range(len(a)) if a[u] == -1
                 for w in inst.graph.adjacency[u] if a[w] != -1}
-        assert build_neighbor_graph(inst, sol) == ([tuple(sorted(e)) for e in expected],
-                                                   sorted(hits))
+        assert neighbor_graph(inst, sol) == ([tuple(sorted(e)) for e in expected],
+                                             sorted(hits))
 
 
 def test_select_all_full_returns_none():
@@ -116,7 +138,7 @@ def test_select_all_full_returns_none():
     g = build_graph(7, edges)
     inst = Instance(graph=g, roots=(0, 3), capacity=3)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1))
-    ng, hits = build_neighbor_graph(inst, sol)
+    ng, hits = neighbor_graph(inst, sol)
     for mode in (GROW_R, GROW_N):
         picked = select_regrow_set(inst, ng, sol.sizes(2), hits, 2, mode,
                                    SolverConfig(seed=0), random.Random(0), {})
@@ -129,7 +151,7 @@ def test_select_needs_unassigned_frontier():
     g = build_graph(7, edges)   # node 6 isolated, unassigned
     inst = Instance(graph=g, roots=(0, 3), capacity=4)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1))
-    ng, hits = build_neighbor_graph(inst, sol)
+    ng, hits = neighbor_graph(inst, sol)
     picked = select_regrow_set(inst, ng, sol.sizes(2), hits, 2, GROW_R,
                                SolverConfig(seed=0), random.Random(0), {})
     assert picked is None
@@ -139,7 +161,7 @@ def test_select_grow_r_members():
     inst, sol = three_triangles()
     # free a slot in subgraph 0 so it is not full
     sol = Solution(assignment=(0, 0, -1, 1, 1, 1, 2, 2, 2, -1, -1))
-    ng, hits = build_neighbor_graph(inst, sol)
+    ng, hits = neighbor_graph(inst, sol)
     for seed in range(30):
         picked = select_regrow_set(inst, ng, sol.sizes(3), hits, 2, GROW_R,
                                    SolverConfig(seed=seed), random.Random(seed), {})
@@ -154,7 +176,7 @@ def test_select_grow_n_members_connected():
         rng = random.Random(seed)
         inst = random_instance(rng, max_nodes=14)
         sol = generate_solution(inst, SolverConfig(seed=seed), random.Random(seed))
-        ng, hits = build_neighbor_graph(inst, sol)
+        ng, hits = neighbor_graph(inst, sol)
         m = rng.randint(2, 4)
         picked = select_regrow_set(inst, ng, sol.sizes(len(inst.roots)), hits, m, GROW_N,
                                    SolverConfig(seed=seed), random.Random(seed), {})
@@ -237,19 +259,40 @@ def test_grow_n_walk_matches_reference_draw_for_draw(inputs, ms, regrow_size, at
     assert all(bin(mask).count("1") < regrow_size for mask in memo)
 
 
+def regrown(inst, sol, picked, config, rng):
+    """regrow_partial on a working copy of sol.  Returns the objective it
+    reports, the candidate as _grow_parallel left it, and the owner list
+    after the call (the candidate if kept, else the incumbent again)."""
+    owner, members, _ = working_copy(inst, sol)
+    grow_parallel, seen = ls._grow_parallel, []
+
+    def recorded(instance, owner, labels, config, rng):
+        claims = grow_parallel(instance, owner, labels, config, rng)
+        seen.append(tuple(owner))
+        return claims
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ls, "_grow_parallel", recorded)
+        value, _ = regrow_partial(inst, owner, members, picked, sol.objective, config, rng)
+    candidate = Solution(seen[0])
+    assert value == candidate.objective
+    assert tuple(owner) == (candidate if value >= sol.objective else sol).assignment
+    return candidate
+
+
 def test_regrow_never_touches_outside_subgraphs():
     cases = 0
     for seed in range(100):
         rng = random.Random(seed)
         inst = random_instance(rng, max_nodes=14)
         sol = generate_solution(inst, SolverConfig(seed=seed), random.Random(seed))
-        ng, hits = build_neighbor_graph(inst, sol)
+        ng, hits = neighbor_graph(inst, sol)
         picked = select_regrow_set(inst, ng, sol.sizes(len(inst.roots)), hits,
                                    rng.randint(2, 3), GROW_R, SolverConfig(seed=seed), rng, {})
         if picked is None:
             continue
         cases += 1
-        cand = regrow_partial(inst, sol, picked, SolverConfig(seed=seed), rng)
+        cand = regrown(inst, sol, picked, SolverConfig(seed=seed), rng)
         for u in range(inst.graph.node_count):
             old = sol.assignment[u]
             if old != -1 and old not in picked:
@@ -263,9 +306,9 @@ def test_regrow_never_touches_outside_subgraphs():
 def test_regrow_of_everything_equals_fresh_generation():
     inst, sol = three_triangles()
     cfg = SolverConfig(seed=11)
-    regrown = regrow_partial(inst, sol, {0, 1, 2}, cfg, random.Random(11))
+    cand = regrown(inst, sol, {0, 1, 2}, cfg, random.Random(11))
     fresh = generate_solution(inst, cfg, random.Random(11))
-    assert regrown.assignment == fresh.assignment
+    assert cand.assignment == fresh.assignment
 
 
 def test_local_search_two_cycles_reaches_ten():
