@@ -24,6 +24,7 @@ matters more than speed measurements.
 
 from __future__ import annotations
 
+import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -36,6 +37,9 @@ from .solver import SolverConfig
 
 _MODE_LETTER = {GROW_R: "R", GROW_N: "N"}
 _SPEC_KEYS = ("pairs", "alpha", "instancesPerPair", "baseSeed", "modes", "config")
+# ten times the paper's largest instance (100 x 100 nodes)
+MAX_PAIR_NODES = 100_000
+MAX_INSTANCES_PER_PAIR = 10_000
 
 CSV_HEADER = ("n,M,alpha,mode,avgErrPct,stdevErrPct,maxErrPct,"
               "hits,avgIter,stdevIter,avgTimeMs")
@@ -105,9 +109,11 @@ def _run_one(job) -> list[tuple] | None:
 def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list[BenchRow]:
     """Execute a bench spec; returns rows in (pair, mode) order.
 
-    An unknown key, a spec field of the wrong type, an unknown mode or
-    workers < 1 raises ValueError before any instance is generated.  The
-    process pool never gets more workers than there are instances.
+    An unknown key, a spec field of the wrong type, an unknown mode, a
+    pair of more than MAX_PAIR_NODES nodes (n * M), instancesPerPair
+    outside [1, MAX_INSTANCES_PER_PAIR] or workers < 1 raises ValueError
+    before any instance is generated.  The process pool never gets more
+    workers than there are instances or cores.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -119,10 +125,12 @@ def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"pair {pair!r} must be a pair [n, M]")
         pairs.append((check_type(pair[0], int, "pair n"), check_type(pair[1], int, "pair M")))
+        if pairs[-1][0] * pairs[-1][1] > MAX_PAIR_NODES:
+            raise ValueError(f"pair {pair!r} has more than {MAX_PAIR_NODES} nodes")
     alpha = float(check_finite(spec.get("alpha", 2.0), "alpha"))
     count = check_type(spec.get("instancesPerPair", 10), int, "instancesPerPair")
-    if count < 1:
-        raise ValueError("instancesPerPair must be >= 1")
+    if not 1 <= count <= MAX_INSTANCES_PER_PAIR:
+        raise ValueError(f"instancesPerPair must be in [1, {MAX_INSTANCES_PER_PAIR}]")
     base_seed = check_type(spec.get("baseSeed", 0), int, "baseSeed")
     modes = check_type(spec.get("modes", [GROW_N]), list, "modes")
     for mode in modes:
@@ -131,7 +139,7 @@ def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list
     config = _config_from_spec(check_type(spec.get("config", {}), dict, "config"))
     jobs = [(n, capacity, alpha, base_seed + idx, modes, config)
             for n, capacity in pairs for idx in range(count)]
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as executor:
             results = list(executor.map(_run_one, jobs))

@@ -20,6 +20,7 @@ from random import Random
 from .graph import (
     Graph,
     Instance,
+    _blocks,
     articulation_points,
     biconnected_components,
     build_graph,
@@ -90,20 +91,33 @@ def _boundary_points(bw: float, bh: float, per_edge: int, rng: Random):
     return pts
 
 
+def _neighbour_verdict(g: Graph, nodes: set[int], v: int) -> bool | None:
+    """Whether S - v = `nodes` is bi-connected, read off v's neighbours
+    alone (see `_trim_to_size`), or None when they cannot tell."""
+    adj = g.adjacency
+    near = nodes.intersection(adj[v])
+    rings = [nodes.intersection(adj[w]) for w in near]
+    if not all(len(ring) >= 2 for ring in rings):
+        return False
+    return any(near.issubset(block)
+               for _r, _p, block in _blocks(g, near.union(*rings), near)) or None
+
+
 def _trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int] | None:
     """Shrink a bi-connected node set to `target` (>= 3) nodes.
 
     Repeatedly removes the outermost (farthest from the current centroid)
     non-cut node whose removal keeps the set bi-connected; gives up when no
     single node can be removed safely.  Two exact tests on the neighbours
-    of the removed node v settle most removals before the set S - v (at
-    least 3 nodes) is rechecked whole: a neighbour left with fewer than 2
-    neighbours in S - v proves it is not bi-connected, and neighbours that
-    are bi-connected among themselves prove that it is.  (A cut vertex u of
-    S - v would split v's neighbours between two components of S - v - u,
-    as S - u is connected, and no path among them could avoid u.)
+    `near` of the removed node v settle most removals before the set S - v
+    (at least 3 nodes) is rechecked whole: a neighbour left with fewer than
+    2 neighbours in S - v proves it is not bi-connected, and near lying
+    inside one block of T, the subgraph induced by near and near's
+    neighbours in S - v, proves that it is.  (A cut vertex u of S - v would
+    split near - u between two components of S - v - u, as S - u is
+    connected and every path in it to v ends in near; but near - u is
+    connected inside that block minus u, a subgraph of S - v - u.)
     """
-    adj = g.adjacency
     nodes = set(nodes)
     while len(nodes) > target:
         # one sweep per refresh of the cut set / centroid ordering; a node
@@ -120,9 +134,8 @@ def _trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int] | 
             if len(nodes) == target:
                 break
             nodes.discard(v)
-            near = nodes.intersection(adj[v])
-            if all(len(nodes.intersection(adj[w])) >= 2 for w in near) \
-                    and (is_biconnected(g, near) or is_biconnected(g, nodes)):
+            verdict = _neighbour_verdict(g, nodes, v)
+            if verdict or (verdict is None and is_biconnected(g, nodes)):
                 removed_any = True
             else:
                 nodes.add(v)
@@ -139,9 +152,14 @@ def generate_block(capacity: int, n: int, cfg: GenConfig, rng: Random) -> Block:
     after each batch the accumulated disc graph is checked for a
     bi-connected component of at least `capacity` nodes, which is then
     trimmed down to size.  Each batch counts against the attempt budget.
+    New points find their disc neighbours in a grid of cells a little wider
+    than the radius, and their edges go in ascending earlier index.
     """
     d = disc_radius(cfg.alpha, n, capacity)
     d2 = d * d
+    # grid cells a little wider than d: even after float rounding, two
+    # points within d of each other lie in the same or adjacent cells
+    inv = 1.0 / (d * (1.0 + 1e-9))
     batch_size = math.ceil(capacity * cfg.delta)
     attempts = 0
     while attempts < cfg.block_attempt_budget:
@@ -150,6 +168,7 @@ def generate_block(capacity: int, n: int, cfg: GenConfig, rng: Random) -> Block:
         bh = shape / math.sqrt(n)
         pts: list[tuple[float, float]] = []
         edges: list[tuple[int, int]] = []
+        grid: dict[tuple[int, int], list[int]] = {}
         for _ in range(cfg.max_batches_per_box):
             if attempts >= cfg.block_attempt_budget:
                 break
@@ -161,17 +180,25 @@ def generate_block(capacity: int, n: int, cfg: GenConfig, rng: Random) -> Block:
                 fresh = _boundary_points(bw, bh, per_edge, rng)
             while len(fresh) < batch_size:
                 fresh.append((rng.uniform(0.0, bw), rng.uniform(0.0, bh)))
-            base = len(pts)
-            # incremental edge update: new points against everything
-            for li, (x, y) in enumerate(fresh):
-                gi = base + li
-                for j in range(gi):
-                    ox, oy = pts[j] if j < base else fresh[j - base]
-                    dx = x - ox
-                    dy = y - oy
-                    if dx * dx + dy * dy <= d2:
-                        edges.append((j, gi))
-            pts.extend(fresh)
+            # incremental edge update: each new point against the earlier
+            # points in its 3x3 cells; edges in ascending earlier index keep
+            # the neighbour order that ties between equal blocks follow
+            for x, y in fresh:
+                gi = len(pts)
+                gx, gy = int(x * inv), int(y * inv)
+                near = []
+                for cx in (gx - 1, gx, gx + 1):
+                    for cy in (gy - 1, gy, gy + 1):
+                        for j in grid.get((cx, cy), ()):
+                            ox, oy = pts[j]
+                            dx = x - ox
+                            dy = y - oy
+                            if dx * dx + dy * dy <= d2:
+                                near.append(j)
+                near.sort()
+                edges.extend((j, gi) for j in near)
+                pts.append((x, y))
+                grid.setdefault((gx, gy), []).append(gi)
             g = build_graph(len(pts), edges)
             comps = biconnected_components(g)
             big = [c for c in comps if len(c) >= capacity]

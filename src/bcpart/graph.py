@@ -93,56 +93,63 @@ def unit_disc_graph(points, radius: float) -> Graph:
 def _induced_adjacency(g: Graph, nodes):
     """Set-filtered view used by the DFS routines below."""
     node_set = nodes if isinstance(nodes, (set, frozenset)) else set(nodes)
-    for u in node_set:
-        if not (0 <= u < g.node_count):
-            raise ValueError(f"node {u} not in graph")
+    if node_set:
+        lo, hi = min(node_set), max(node_set)
+        if lo < 0 or hi >= g.node_count:
+            raise ValueError(f"node {lo if lo < 0 else hi} not in graph")
     return node_set
 
 
-def _blocks(g: Graph, node_set, start: int, disc: dict[int, int]):
-    """Blocks of the component of `start` in the subgraph induced by
-    `node_set`, by one iterative low-link DFS with a node stack (Tarjan
-    1972).
+def _blocks(g: Graph, node_set, starts):
+    """Blocks of the subgraph induced by `node_set`, by one iterative
+    low-link DFS with a node stack (Tarjan 1972) from each start that no
+    earlier walk reached.
 
-    Yields (p, block) each time a child subtree of p closes with
+    Yields (root, p, block) each time a child subtree of p closes with
     low[child] >= disc[p]: p separates that subtree from the rest, and
     block lists the subtree nodes still on the stack plus p, which is one
-    bi-connected component (two nodes for a bridge).  `disc` collects
-    discovery numbers and is shared across calls so callers can walk every
-    component; a start with no neighbor in the set yields nothing.
+    bi-connected component (two nodes for a bridge); root is the start
+    whose walk found it.  Discovery and low numbers live in two lists of
+    g.node_count entries, where 0 means not yet seen; a start with no
+    neighbor in the set yields nothing.  Besides the three functions below,
+    the generator's trim walks it on a removed node's neighbourhood.
     """
     adjacency = g.adjacency
-    counter = len(disc)
-    disc[start] = counter
-    low = {start: counter}
-    counter += 1
-    nodes = [start]
-    # stack entries: (node, parent, iterator over neighbors, index in nodes)
-    stack = [(start, -1, iter(adjacency[start]), 0)]
-    while stack:
-        u, parent, it, pos = stack[-1]
-        for v in it:
-            if v not in node_set:
-                continue
-            if v not in disc:
-                disc[v] = low[v] = counter
-                counter += 1
-                stack.append((v, u, iter(adjacency[v]), len(nodes)))
-                nodes.append(v)
-                break
-            if v != parent and disc[v] < low[u]:
-                low[u] = disc[v]
-        else:  # no undiscovered neighbor left: u's subtree is done
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[u] < low[p]:
-                    low[p] = low[u]
-                if low[u] >= disc[p]:
-                    block = nodes[pos:]
-                    del nodes[pos:]
-                    block.append(p)
-                    yield p, block
+    disc = [0] * g.node_count
+    low = [0] * g.node_count
+    counter = 1
+    for root in starts:
+        if disc[root]:
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
+        nodes = [root]
+        # stack entries: (node, parent, iterator over neighbors, index in nodes)
+        stack = [(root, -1, iter(adjacency[root]), 0)]
+        while stack:
+            u, parent, it, pos = stack[-1]
+            for v in it:
+                if v not in node_set:
+                    continue
+                if not disc[v]:
+                    disc[v] = low[v] = counter
+                    counter += 1
+                    stack.append((v, u, iter(adjacency[v]), len(nodes)))
+                    nodes.append(v)
+                    break
+                if v != parent and disc[v] < low[u]:
+                    low[u] = disc[v]
+            else:  # no undiscovered neighbor left: u's subtree is done
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    if low[u] >= disc[p]:
+                        block = nodes[pos:]
+                        del nodes[pos:]
+                        block.append(p)
+                        yield root, p, block
 
 
 def articulation_points(g: Graph, nodes) -> set[int]:
@@ -153,19 +160,12 @@ def articulation_points(g: Graph, nodes) -> set[int]:
     or more blocks, any other node when it closes one.
     """
     node_set = _induced_adjacency(g, nodes)
-    disc: dict[int, int] = {}
     cut: set[int] = set()
-    for start in node_set:
-        if start in disc:
-            continue
-        root_blocks = 0
-        for p, _block in _blocks(g, node_set, start, disc):
-            if p == start:
-                root_blocks += 1
-            else:
-                cut.add(p)
-        if root_blocks >= 2:
-            cut.add(start)
+    closed: set[int] = set()   # nodes that closed a block; a root is cut at its second
+    for root, p, _block in _blocks(g, node_set, node_set):
+        if p != root or p in closed:
+            cut.add(p)
+        closed.add(p)
     return cut
 
 
@@ -179,8 +179,8 @@ def is_biconnected(g: Graph, nodes) -> bool:
     node_set = _induced_adjacency(g, nodes)
     if len(node_set) < 3:
         return len(node_set) == 1
-    first = next(_blocks(g, node_set, next(iter(node_set)), {}), None)
-    return first is not None and len(first[1]) == len(node_set)
+    first = next(_blocks(g, node_set, (next(iter(node_set)),)), None)
+    return first is not None and len(first[2]) == len(node_set)
 
 
 def biconnected_components(g: Graph, nodes=None) -> list[set[int]]:
@@ -190,12 +190,7 @@ def biconnected_components(g: Graph, nodes=None) -> list[set[int]]:
     Isolated nodes yield no component.
     """
     node_set = _induced_adjacency(g, nodes if nodes is not None else range(g.node_count))
-    disc: dict[int, int] = {}
-    comps: list[set[int]] = []
-    for start in node_set:
-        if start not in disc:
-            comps.extend(set(block) for _p, block in _blocks(g, node_set, start, disc))
-    return comps
+    return [set(block) for _root, _p, block in _blocks(g, node_set, node_set)]
 
 
 @dataclass(frozen=True)

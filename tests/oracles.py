@@ -5,9 +5,10 @@ with src/: connectivity by plain BFS, bi-connectivity by delete-one-vertex
 connectivity, optima by exhaustive labeling, distances by multi-source BFS,
 the GROW-N walk in its original rebuild-every-step form, and ear growth and
 parallel construction in their build-before-draw, prune-every-sibling form,
-the local search in its copy-every-candidate, rebuild-every-accept form, and
+the local search in its copy-every-candidate, rebuild-every-accept form,
 the generator's block trim and placement in their recheck-every-removal,
-probe-every-trial form.
+probe-every-trial form, and its block sampler in its every-pair edge update
+form on the dict-based low-link walker.
 Slow is fine; these only run on small inputs.
 """
 
@@ -20,8 +21,9 @@ from itertools import product
 
 from bcpart import GROW_N, GROW_R, Instance, Solution, build_graph
 from bcpart.local_search import SearchStats, select_regrow_set
-from bcpart.generate import GeneratedInstance, GenerationError, _probe_cross
-from bcpart.graph import articulation_points, disc_radius, is_biconnected
+from bcpart.generate import (Block, GeneratedInstance, GenerationError, _boundary_points,
+                             _probe_cross)
+from bcpart.graph import disc_radius, unit_disc_graph
 from bcpart.growth import INF, init_growth, try_make_ear, update_add_ear, update_bfs_tree_delete
 
 
@@ -416,6 +418,186 @@ def ref_local_search(instance, config, mode, trace=None):
     )
 
 
+def ref_induced_adjacency(g: Graph, nodes):
+    """Set-filtered view used by the DFS routines below."""
+    node_set = nodes if isinstance(nodes, (set, frozenset)) else set(nodes)
+    for u in node_set:
+        if not (0 <= u < g.node_count):
+            raise ValueError(f"node {u} not in graph")
+    return node_set
+
+
+def ref_lowlink_blocks(g: Graph, node_set, start: int, disc: dict[int, int]):
+    """The dict-based low-link walker, kept verbatim as the reference for
+    the list-based one; the functions below up to ref_generate_block are
+    its callers and the O(n^2) block sampler, verbatim too.
+
+    Blocks of the component of `start` in the subgraph induced by
+    `node_set`, by one iterative low-link DFS with a node stack (Tarjan
+    1972).
+
+    Yields (p, block) each time a child subtree of p closes with
+    low[child] >= disc[p]: p separates that subtree from the rest, and
+    block lists the subtree nodes still on the stack plus p, which is one
+    bi-connected component (two nodes for a bridge).  `disc` collects
+    discovery numbers and is shared across calls so callers can walk every
+    component; a start with no neighbor in the set yields nothing.
+    """
+    adjacency = g.adjacency
+    counter = len(disc)
+    disc[start] = counter
+    low = {start: counter}
+    counter += 1
+    nodes = [start]
+    # stack entries: (node, parent, iterator over neighbors, index in nodes)
+    stack = [(start, -1, iter(adjacency[start]), 0)]
+    while stack:
+        u, parent, it, pos = stack[-1]
+        for v in it:
+            if v not in node_set:
+                continue
+            if v not in disc:
+                disc[v] = low[v] = counter
+                counter += 1
+                stack.append((v, u, iter(adjacency[v]), len(nodes)))
+                nodes.append(v)
+                break
+            if v != parent and disc[v] < low[u]:
+                low[u] = disc[v]
+        else:  # no undiscovered neighbor left: u's subtree is done
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[u] < low[p]:
+                    low[p] = low[u]
+                if low[u] >= disc[p]:
+                    block = nodes[pos:]
+                    del nodes[pos:]
+                    block.append(p)
+                    yield p, block
+
+
+def ref_lowlink_articulation_points(g: Graph, nodes) -> set[int]:
+    """Cut vertices of the subgraph induced by `nodes`.
+
+    Works per connected component of the induced subgraph; empty input
+    gives an empty result.  A DFS root is a cut vertex when it closes two
+    or more blocks, any other node when it closes one.
+    """
+    node_set = ref_induced_adjacency(g, nodes)
+    disc: dict[int, int] = {}
+    cut: set[int] = set()
+    for start in node_set:
+        if start in disc:
+            continue
+        root_blocks = 0
+        for p, _block in ref_lowlink_blocks(g, node_set, start, disc):
+            if p == start:
+                root_blocks += 1
+            else:
+                cut.add(p)
+        if root_blocks >= 2:
+            cut.add(start)
+    return cut
+
+
+def ref_lowlink_is_biconnected(g: Graph, nodes) -> bool:
+    """True iff the induced subgraph is connected and has no cut vertex.
+
+    Size conventions: a single node is bi-connected, an empty set is not,
+    and a two-node subgraph never is.  Stops at the first block the DFS
+    closes, which spans the whole set only when the set is bi-connected.
+    """
+    node_set = ref_induced_adjacency(g, nodes)
+    if len(node_set) < 3:
+        return len(node_set) == 1
+    first = next(ref_lowlink_blocks(g, node_set, next(iter(node_set)), {}), None)
+    return first is not None and len(first[1]) == len(node_set)
+
+
+def ref_lowlink_biconnected_components(g: Graph, nodes=None) -> list[set[int]]:
+    """Node sets of the bi-connected components of the induced subgraph.
+
+    Components are edge-maximal; a bridge yields a two-node component.
+    Isolated nodes yield no component.
+    """
+    node_set = ref_induced_adjacency(g, nodes if nodes is not None else range(g.node_count))
+    disc: dict[int, int] = {}
+    comps: list[set[int]] = []
+    for start in node_set:
+        if start not in disc:
+            comps.extend(set(block) for _p, block in ref_lowlink_blocks(g, node_set, start, disc))
+    return comps
+
+
+def ref_generate_block(capacity: int, n: int, cfg: GenConfig, rng: Random) -> Block:
+    """Sample one bi-connected disc-graph block of exactly `capacity` nodes.
+
+    Points arrive in batches of ceil(capacity * delta) inside a random box
+    of area about 1/n (the first batch pins up to 4 points per box side);
+    after each batch the accumulated disc graph is checked for a
+    bi-connected component of at least `capacity` nodes, which is then
+    trimmed down to size.  Each batch counts against the attempt budget.
+    """
+    d = disc_radius(cfg.alpha, n, capacity)
+    d2 = d * d
+    batch_size = math.ceil(capacity * cfg.delta)
+    attempts = 0
+    while attempts < cfg.block_attempt_budget:
+        shape = rng.uniform(0.5, 1.0)
+        bw = min(1.0 / (math.sqrt(n) * shape), 1.0)
+        bh = shape / math.sqrt(n)
+        pts: list[tuple[float, float]] = []
+        edges: list[tuple[int, int]] = []
+        for _ in range(cfg.max_batches_per_box):
+            if attempts >= cfg.block_attempt_budget:
+                break
+            attempts += 1
+            if pts:
+                fresh = []
+            else:
+                per_edge = min(4, batch_size // 4)
+                fresh = _boundary_points(bw, bh, per_edge, rng)
+            while len(fresh) < batch_size:
+                fresh.append((rng.uniform(0.0, bw), rng.uniform(0.0, bh)))
+            base = len(pts)
+            # incremental edge update: new points against everything
+            for li, (x, y) in enumerate(fresh):
+                gi = base + li
+                for j in range(gi):
+                    ox, oy = pts[j] if j < base else fresh[j - base]
+                    dx = x - ox
+                    dy = y - oy
+                    if dx * dx + dy * dy <= d2:
+                        edges.append((j, gi))
+            pts.extend(fresh)
+            g = build_graph(len(pts), edges)
+            comps = ref_lowlink_biconnected_components(g)
+            big = [c for c in comps if len(c) >= capacity]
+            if not big:
+                continue
+            big.sort(key=lambda c: (-len(c), min(c)))
+            kept = ref_trim_to_size(g, big[0], capacity, pts)
+            if kept is None:
+                continue
+            selected = sorted(kept)
+            sel_coords = [pts[u] for u in selected]
+            # renormalize to the trimmed blob's own bounding box so the
+            # placement stage can slide it anywhere in the unit square
+            min_x = min(x for x, _ in sel_coords)
+            min_y = min(y for _, y in sel_coords)
+            sel_coords = [(x - min_x, y - min_y) for x, y in sel_coords]
+            span_x = max(x for x, _ in sel_coords)
+            span_y = max(y for _, y in sel_coords)
+            block_graph = unit_disc_graph(sel_coords, d)
+            root = rng.randrange(capacity)
+            return Block(coords=sel_coords, graph=block_graph, root=root,
+                         box=(span_x, span_y))
+    raise GenerationError(
+        f"no bi-connected {capacity}-node block found within "
+        f"{cfg.block_attempt_budget} sampling batches (alpha={cfg.alpha}, n={n})")
+
+
 def ref_trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int] | None:
     """The first release's block trim, kept verbatim as the reference for
     the one that tests the removed node's neighbours first: every candidate
@@ -424,7 +606,7 @@ def ref_trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int]
     while len(nodes) > target:
         # one sweep per refresh of the cut set / centroid ordering; a node
         # that fails the recheck is skipped for the rest of the sweep
-        cut = articulation_points(g, nodes)
+        cut = ref_lowlink_articulation_points(g, nodes)
         cx = sum(coords[u][0] for u in nodes) / len(nodes)
         cy = sum(coords[u][1] for u in nodes) / len(nodes)
         cands = sorted(
@@ -436,7 +618,7 @@ def ref_trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int]
             if len(nodes) == target:
                 break
             nodes.discard(v)
-            if is_biconnected(g, nodes):
+            if ref_lowlink_is_biconnected(g, nodes):
                 removed_any = True
             else:
                 nodes.add(v)

@@ -173,8 +173,9 @@ def test_bench_generates_each_instance_once_for_all_modes(monkeypatch, capsys):
         assert row.avg_err_pct == pytest.approx((first.avg_err_pct + last.avg_err_pct) / 2)
 
 
-def test_bench_pool_is_capped_at_the_job_count(monkeypatch, tmp_path, capsys):
-    # an in-process stand-in records the pool size; no real pool is started
+def stub_pool(monkeypatch, cores):
+    """Replace the process pool with an in-process stand-in that records
+    its size, and report `cores` cores; no real pool is started."""
     sizes = []
 
     class InProcessPool:
@@ -190,6 +191,12 @@ def test_bench_pool_is_capped_at_the_job_count(monkeypatch, tmp_path, capsys):
         def map(self, fn, jobs):
             return map(fn, jobs)
     monkeypatch.setattr("bcpart.bench.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("bcpart.bench.os.cpu_count", lambda: cores)
+    return sizes
+
+
+def test_bench_pool_is_capped_at_the_job_count(monkeypatch, tmp_path, capsys):
+    sizes = stub_pool(monkeypatch, cores=64)
     spec = {"pairs": [[2, 5]], "instancesPerPair": 2, "modes": ["grow-r", "grow-n"],
             "config": {"maxIterations": 30, "stagnationLimit": 10}}
     rows = run_bench(spec, workers=5000, include_timing=False)
@@ -204,6 +211,17 @@ def test_bench_pool_is_capped_at_the_job_count(monkeypatch, tmp_path, capsys):
     assert code == 2
     assert "workers" in json.loads(stderr)["error"]
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("cores, pool", [(3, [3]), (1, []), (None, [])])
+def test_bench_pool_is_capped_at_the_core_count(monkeypatch, cores, pool):
+    # a core count the platform cannot tell (None) counts as one core
+    sizes = stub_pool(monkeypatch, cores)
+    spec = {"pairs": [[2, 5]], "instancesPerPair": 4, "modes": ["grow-r"],
+            "config": {"maxIterations": 10, "stagnationLimit": 5}}
+    assert run_bench(spec, workers=5000, include_timing=False) == run_bench(
+        spec, workers=1, include_timing=False)
+    assert sizes == pool
 
 
 def test_missing_file_gives_json_error(capsys):
@@ -234,6 +252,8 @@ BAD_SPECS = {
     "config-unknown-keys": {**SPEC, "config": {"maxIters": 5, "stagnation": 3}},
     "config-seed": {**SPEC, "config": {"seed": 3}},
     "instances-per-pair-zero": {**SPEC, "instancesPerPair": 0},
+    "instances-per-pair-too-many": {**SPEC, "instancesPerPair": 10_001},
+    "pair-too-large": {**SPEC, "pairs": [[2, 5], [1_001, 100]]},
     "alpha-too-large-for-float": {**SPEC, "alpha": 10 ** 400},
     "alpha-infinite": {**SPEC, "alpha": float("inf")},
 }

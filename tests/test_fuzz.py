@@ -5,7 +5,8 @@ every such file into exit 2 with a JSON {"error"} on stderr, or into a
 report (exit 0, or 1 for an infeasible verify), never a traceback.
 
 Integers come from a small range, so a bench spec that happens to be valid
-generates and solves only a few tiny instances.  Loader inputs also get
+generates and solves only a few tiny instances; a separate test draws the
+spec's sizes up to 2**63 and expects exit 2.  Loader inputs also get
 numbers no float holds (a 401-digit integer, infinities, NaN).
 """
 
@@ -17,12 +18,14 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bcpart import instance_from_json, run_bench, solution_from_json
+from bcpart.bench import MAX_INSTANCES_PER_PAIR, MAX_PAIR_NODES
 from bcpart.cli import main
 
 TRIANGLE = {"nodes": [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 1.0, "y": 0.0},
@@ -201,3 +204,27 @@ def test_cli_on_mutated_bench_specs(spec):
         path = Path(tmp) / "spec.json"
         path.write_text(spec)
         assert_cli_contract(*run_main("bench", "--spec", str(path), "--no-timing"))
+
+
+def _never_generate(cfg):
+    raise AssertionError(f"generated {cfg.n}x{cfg.capacity} from an oversized spec")
+
+
+oversized_specs = (
+    st.integers(MAX_INSTANCES_PER_PAIR + 1, 2**63).map(
+        lambda count: {**SPEC, "instancesPerPair": count})
+    | st.tuples(st.integers(1, 2**63), st.integers(1, 2**63))
+    .filter(lambda pair: pair[0] * pair[1] > MAX_PAIR_NODES)
+    .map(lambda pair: {**SPEC, "pairs": [[2, 3], list(pair)]}))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=oversized_specs)
+def test_cli_rejects_oversized_bench_specs_before_generating(spec):
+    with tempfile.TemporaryDirectory() as tmp, \
+            patch("bcpart.bench.generate_instance", _never_generate):
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_main("bench", "--spec", str(path), "--no-timing")
+    assert code == 2 and out == "", (code, out, err)
+    assert list(json.loads(err.splitlines()[-1])) == ["error"], err

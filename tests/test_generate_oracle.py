@@ -1,10 +1,12 @@
-"""Block trimming and placement against their recheck-every-removal,
-probe-every-trial references (tests/oracles.py).
+"""Block sampling, trimming and placement against their every-pair,
+recheck-every-removal, probe-every-trial references (tests/oracles.py).
 
 The trim is compared on the bi-connected components of random disc
-graphs; the whole generator, draws included, is compared by running it
-once with the library's functions and once with the references bound in
-their place.
+graphs, and its neighbour test against the definition of bi-connectivity.
+The block sampler is compared alone, down to the edge lists it builds its
+graphs from, and the whole generator, draws included, is compared by
+running it once with the library's functions and once with the references.
+The references run on their own copy of the low-link walker.
 """
 
 from random import Random
@@ -14,26 +16,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bcpart.generate as gen
-from bcpart import GenConfig, GenerationError, biconnected_components, instance_to_json
+import oracles
+from bcpart import (GenConfig, GenerationError, biconnected_components, build_graph,
+                    instance_to_json)
 from bcpart.graph import unit_disc_graph
-from oracles import ref_assemble_instance, ref_trim_to_size
+from oracles import (ref_assemble_instance, ref_biconnected, ref_generate_block,
+                     ref_trim_to_size)
 
 CASES = settings(max_examples=300, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
 
 
-def _generated(cfg, trim, assemble):
+def _generated(cfg, sample, assemble):
     """Instance JSON and block membership (or the error text) of a full
-    generation with `trim` and `assemble` in place, and the final RNG
+    generation with `sample` and `assemble` in place, and the final RNG
     state."""
     rng = Random(cfg.seed)
-    with patch.object(gen, "_trim_to_size", trim):
-        try:
-            blocks = [gen.generate_block(cfg.capacity, cfg.n, cfg, rng) for _ in range(cfg.n)]
-            result = assemble(blocks, cfg, rng)
-            out = (instance_to_json(result.instance), result.block_membership)
-        except GenerationError as exc:
-            out = str(exc)
+    try:
+        blocks = [sample(cfg.capacity, cfg.n, cfg, rng) for _ in range(cfg.n)]
+        result = assemble(blocks, cfg, rng)
+        out = (instance_to_json(result.instance), result.block_membership)
+    except GenerationError as exc:
+        out = str(exc)
     return out, rng.getstate()
 
 
@@ -43,19 +47,75 @@ def _generated(cfg, trim, assemble):
 def test_generation_matches_reference(seed, n, capacity, trials, alpha):
     cfg = GenConfig(n=n, capacity=capacity, alpha=alpha, position_trials=trials,
                     seed=seed, block_attempt_budget=300)
-    assert (_generated(cfg, gen._trim_to_size, gen.assemble_instance)
-            == _generated(cfg, ref_trim_to_size, ref_assemble_instance))
+    assert (_generated(cfg, gen.generate_block, gen.assemble_instance)
+            == _generated(cfg, ref_generate_block, ref_assemble_instance))
+
+
+def _sampled(cfg, sample, module):
+    """Coordinates, graph, root and box of one block drawn by `sample` (or
+    the error text), every edge list it passed to `module.build_graph`,
+    and the final RNG state."""
+    rng = Random(cfg.seed)
+    edge_lists = []
+
+    def recorded(node_count, edges, coords=None):
+        edge_lists.append((node_count, list(edges)))
+        return build_graph(node_count, edges, coords)
+    with patch.object(module, "build_graph", recorded):
+        try:
+            block = sample(cfg.capacity, cfg.n, cfg, rng)
+            out = (block.coords, block.graph.adjacency, block.root, block.box)
+        except GenerationError as exc:
+            out = str(exc)
+    return out, edge_lists, rng.getstate()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), capacity=st.integers(3, 40),
+       alpha=st.sampled_from([1.0, 1.5, 2.0, 3.0]), delta=st.floats(1.0, 1.5),
+       batches=st.integers(1, 16), budget=st.integers(1, 40))
+def test_block_matches_reference(seed, n, capacity, alpha, delta, batches, budget):
+    cfg = GenConfig(n=n, capacity=capacity, alpha=alpha, delta=delta, seed=seed,
+                    block_attempt_budget=budget, max_batches_per_box=batches)
+    assert _sampled(cfg, gen.generate_block, gen) == _sampled(cfg, ref_generate_block, oracles)
+
+
+def _disc_components(seed, count, radius):
+    rng = Random(seed)
+    pts = [(rng.random(), rng.random()) for _ in range(count)]
+    g = unit_disc_graph(pts, radius)
+    return g, pts, biconnected_components(g)
 
 
 @CASES
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(3, 60),
        radius=st.floats(0.15, 0.5), data=st.data())
 def test_trim_matches_reference(seed, count, radius, data):
-    rng = Random(seed)
-    pts = [(rng.random(), rng.random()) for _ in range(count)]
-    g = unit_disc_graph(pts, radius)
-    comp = max(biconnected_components(g), key=len, default=set())
+    g, pts, comps = _disc_components(seed, count, radius)
+    comp = max(comps, key=len, default=set())
     if len(comp) < 3:
         return
     target = data.draw(st.integers(3, len(comp)))
     assert gen._trim_to_size(g, comp, target, pts) == ref_trim_to_size(g, comp, target, pts)
+
+
+@CASES
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(4, 50),
+       radius=st.floats(0.12, 0.5))
+def test_neighbour_verdict_is_exact_and_covers_bi_connected_neighbours(seed, count, radius):
+    # every removal from every bi-connected component S of 4 or more nodes:
+    # a verdict must equal the definition, and v's neighbours being
+    # bi-connected among themselves (the test it widens) must give one
+    g, _pts, comps = _disc_components(seed, count, radius)
+    for comp in comps:
+        if len(comp) < 4:
+            continue
+        for v in sorted(comp):
+            rest = comp - {v}
+            near = rest.intersection(g.adjacency[v])
+            verdict = gen._neighbour_verdict(g, rest, v)
+            if verdict is not None:
+                assert verdict == ref_biconnected(g, rest), (sorted(comp), v)
+            if (len(near) >= 3 and ref_biconnected(g, near)
+                    and all(len(rest.intersection(g.adjacency[w])) >= 2 for w in near)):
+                assert verdict is True, (sorted(comp), v)

@@ -59,6 +59,9 @@ CASES = {
     "instance-30x20-a2.0-s7": lambda: instance_to_json(_instance(30, 20, 2.0, 7)),
     # trim-heavy: about 2,000 candidate removals in block trimming
     "instance-2x60-a2.0-s5": lambda: instance_to_json(_instance(2, 60, 2.0, 5)),
+    # the second generate-m100 instance: ten 100-node blocks, the block
+    # sampler's grid and the trim's neighbour test at the paper's capacity
+    "instance-10x100-a2.0-s1": lambda: instance_to_json(_instance(10, 100, 2.0, 1)),
     "single-pass-5x10-seed3": lambda: _single_pass(3),
     "grow-r-5x10-default-seed1": lambda: _search((5, 10, 2.0, 0), GROW_R, SolverConfig(seed=1)),
     "grow-n-5x10-default-seed1": lambda: _search((5, 10, 2.0, 0), GROW_N, SolverConfig(seed=1)),
@@ -95,6 +98,8 @@ GOLDEN = {
         "57e873242e5568add918a394ea1e4668f6678d5e6c41462d6ef129b33502fede",
     "grow-r-5x10-default-seed1":
         "e62f4a862111eec490fe07ef93e456bf396f72d88c247eb99097f2007cd90164",
+    "instance-10x100-a2.0-s1":
+        "a3bac65e4b843ce2bcc78603ea41519961a8a14f9a253f126f607561a43d604a",
     "instance-2x60-a2.0-s5":
         "228dd1eee72a19cb3dd91a19686aa857ce279e4edfa8ea458aaf10c83540725e",
     "instance-30x20-a2.0-s7":

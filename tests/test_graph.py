@@ -191,10 +191,7 @@ def induced_subgraphs(draw):
     return build_graph(n, edges), nodes
 
 
-@settings(max_examples=400, deadline=None)
-@given(induced_subgraphs())
-def test_block_functions_match_networkx(case):
-    g, nodes = case
+def assert_block_functions_match_networkx(g, nodes):
     ref = nx.Graph()
     ref.add_nodes_from(nodes)
     ref.add_edges_from((u, v) for u, v in g.edges() if u in nodes and v in nodes)
@@ -204,6 +201,36 @@ def test_block_functions_match_networkx(case):
     assert articulation_points(g, nodes) == set(nx.articulation_points(ref))
     assert (sorted(sorted(c) for c in biconnected_components(g, nodes))
             == sorted(sorted(c) for c in nx.biconnected_components(ref)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(induced_subgraphs())
+def test_block_functions_match_networkx(case):
+    assert_block_functions_match_networkx(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(10, 120),
+       radius=st.floats(0.08, 0.35), keep=st.floats(0.3, 1.0), hops=st.integers(1, 3))
+def test_block_functions_match_networkx_on_disc_subsets(seed, count, radius, keep, hops):
+    # as the generator's trim calls them: a random subset and a few-hop
+    # ball of a larger disc graph, both with neighbours outside the set
+    rng = random.Random(seed)
+    g = unit_disc_graph([(rng.random(), rng.random()) for _ in range(count)], radius)
+    subset = {u for u in range(count) if rng.random() < keep}
+    assert_block_functions_match_networkx(g, subset)
+    ball = {rng.randrange(count)}
+    for _ in range(hops):
+        ball |= {v for u in ball for v in g.adjacency[u] if v in subset}
+    assert_block_functions_match_networkx(g, ball)
+
+
+@pytest.mark.parametrize("nodes, named", [([0, 4], 4), ([-1, 2], -1), ([7], 7)])
+def test_block_functions_reject_nodes_outside_the_graph(nodes, named):
+    g = cycle_graph(4)
+    for fn in (articulation_points, is_biconnected, biconnected_components):
+        with pytest.raises(ValueError, match=f"node {named} not in graph"):
+            fn(g, nodes)
 
 
 def test_instance_validation():
