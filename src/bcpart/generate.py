@@ -14,7 +14,7 @@ vector is kept as a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from random import Random
 
 from .graph import (
@@ -25,6 +25,7 @@ from .graph import (
     biconnected_components,
     build_graph,
     check_finite,
+    check_type,
     disc_radius,
     is_biconnected,
     unit_disc_graph,
@@ -49,6 +50,9 @@ class GenConfig:
     max_batches_per_box: int = 16
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "int":
+                check_type(getattr(self, f.name), int, f.name)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.capacity < 3:
@@ -57,7 +61,7 @@ class GenConfig:
             raise ValueError("alpha must be positive")
         if check_finite(self.delta, "delta") < 1.0:
             raise ValueError("delta must be >= 1")
-        if not (0.0 <= self.gamma <= 1.0):
+        if not (0.0 <= check_finite(self.gamma, "gamma") <= 1.0):
             raise ValueError("gamma must be in [0, 1]")
 
 

@@ -13,32 +13,21 @@ own ear root, and a non-tree edge between two different branches closes a
 cycle through r.
 
 grow tests, draws, then builds: ears are tested inline, one RNG draw follows
-each valid ear, and only an accepted ear is built and folded in.  Sibling
-claims are pruned in batches, in claim order.  ear_root and parent mean
-something only where dist is finite.  All queue handling is FIFO and all
-neighbor scans follow adjacency order, so runs are reproducible given the
-caller's RNG.
+each valid ear, and only an accepted ear is walked (try_make_ear) and folded
+in (update_add_ear).  One grow call adds ears up to a node count, so a
+construction burst is one call.  Sibling claims are pruned in batches, in
+claim order.  ear_root and parent mean something only where dist is finite;
+an S node is at dist 0 and its own ear root.  Queues are FIFO and scans
+follow adjacency order, so runs are reproducible given the caller's RNG.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .graph import Graph
 
 INF = 1 << 30
-
-
-@dataclass
-class Ear:
-    """An accepted ear: node sequence endpoint..endpoint, plus the subset
-    of sequence nodes that are new to S (in sequence order).  `cycle` marks
-    the initial ear, which closes into a cycle through the root."""
-
-    sequence: list[int]
-    added: list[int]
-    cycle: bool = False
 
 
 class GrowthState:
@@ -52,12 +41,8 @@ class GrowthState:
     label.
     """
 
-    __slots__ = (
-        "graph", "root", "label", "capacity", "accept_prob",
-        "parent", "children", "ear_root", "dist",
-        "evaluate", "owner",
-        "queue", "members", "last_ear",
-    )
+    __slots__ = ("graph", "root", "label", "capacity", "accept_prob", "parent", "children",
+                 "ear_root", "dist", "evaluate", "owner", "queue", "members")
 
     def __init__(self, graph: Graph, root: int, capacity: int, accept_prob: float,
                  owner: list[int]):
@@ -75,7 +60,6 @@ class GrowthState:
         self.owner = owner
         self.queue: deque[int] = deque()
         self.members: list[int] = [root]
-        self.last_ear: Ear | None = None
 
 
 def init_growth(g: Graph, root: int, capacity: int, accept_prob: float,
@@ -113,97 +97,76 @@ def init_growth(g: Graph, root: int, capacity: int, accept_prob: float,
     return st
 
 
-def _walk_up(st: GrowthState, u: int) -> list[int]:
-    """Tree path [u, parent(u), ..., ear_root(u)] following parent links."""
-    path = [u]
-    target = st.ear_root[u]
-    cur = u
-    while cur != target:
-        cur = st.parent[cur]
-        path.append(cur)
-    return path
-
-
-def try_make_ear(st: GrowthState, u: int, v: int) -> Ear | None:
-    """Validate the non-tree edge (u, v) as an ear and build it.
+def try_make_ear(st: GrowthState, u: int, v: int) -> list[int] | None:
+    """Validate the non-tree edge (u, v) as an ear and return its node
+    sequence ear_root(u)..u, v..ear_root(v), walked up the parent links;
+    the first ear is led by the root unless it already ends it.
 
     Requires different ear roots and enough remaining capacity for every
     node the ear would add (walk nodes plus any endpoint anchor not yet in
     S, which only happens before the first ear).  Ears that would add
-    nothing are rejected.
+    nothing are rejected (None).
     """
-    ru = st.ear_root[u]
-    rv = st.ear_root[v]
+    ear_root, owner, label = st.ear_root, st.owner, st.label
+    ru, rv = ear_root[u], ear_root[v]
     if ru == rv:
         return None
-    ru_in = st.owner[ru] == st.label
-    rv_in = st.owner[rv] == st.label
-    added_count = st.dist[u] + st.dist[v]
-    if not ru_in:
-        added_count += 1
-    if not rv_in:
-        added_count += 1
-    if added_count == 0:
-        return None
+    ru_in, rv_in = owner[ru] == label, owner[rv] == label
+    added_count = st.dist[u] + st.dist[v] + (not ru_in) + (not rv_in)
     size = len(st.members)
-    if size + added_count > st.capacity:
+    if (added_count == 0 or size + added_count > st.capacity
+            or size > 1 and not (ru_in and rv_in)):  # dangling pre-cycle anchor
         return None
-    initial = size == 1
-    if not initial and not (ru_in and rv_in):
-        # dangling pre-cycle anchor; cannot attach to S
-        return None
-    left = _walk_up(st, u)
-    right = _walk_up(st, v)
-    seq = left[::-1] + right
-    if initial and rv != st.root:
-        seq = [st.root] + seq
-    owner, label = st.owner, st.label
-    added = [x for x in seq if owner[x] != label]
-    return Ear(sequence=seq, added=added, cycle=initial)
+    parent = st.parent
+    seq = [u]
+    while u != ru:
+        u = parent[u]
+        seq.append(u)
+    seq.reverse()
+    if size == 1 and rv != st.root:
+        seq.insert(0, st.root)
+    seq.append(v)
+    while v != rv:
+        v = parent[v]
+        seq.append(v)
+    return seq
 
 
-def update_add_ear(st: GrowthState, ear: Ear) -> None:
-    """Fold an accepted ear into the BFS tree.
+def update_add_ear(st: GrowthState, seq: list[int]) -> int:
+    """Fold an accepted ear's node sequence into the BFS tree; returns the
+    number of nodes it added to S.
 
-    Ear nodes become S members (owner = this state's label) at dist 0
-    rooted at themselves.  Tree descendants hanging below them (stopping at
-    other S nodes) are re-rooted onto their nearest ear ancestor, get dist =
-    steps to it, are flagged for re-evaluation and re-enqueued.  Enqueue
-    order is ear sequence first, then descendants level by level, so shorter
-    new ears are found first.
+    Ear nodes become S members (owner = this state's label, new ones
+    appended to `members` in sequence order) at dist 0 rooted at
+    themselves.  Tree descendants hanging below them (stopping at other S
+    nodes) are re-rooted onto their nearest ear ancestor, get dist = steps
+    to it, are flagged for re-evaluation and re-enqueued.  Enqueue order is
+    ear sequence first, then descendants level by level, so shorter new
+    ears are found first.
     """
-    owner = st.owner
-    label = st.label
-    dist = st.dist
-    ear_root = st.ear_root
-    evaluate = st.evaluate
-    children = st.children
-    members = st.members
-    for x in ear.sequence:
+    owner, label, members = st.owner, st.label, st.members
+    dist, ear_root, evaluate, children = st.dist, st.ear_root, st.evaluate, st.children
+    start = len(members)
+    for x in seq:
         dist[x] = 0
         ear_root[x] = x
         if owner[x] != label:
             owner[x] = label
             members.append(x)
-    st.queue.extend(ear.sequence)
-    level = ear.sequence
+    st.queue.extend(seq)
+    level = seq
     while level:
         nxt = []
         for x in level:
-            kids = children.get(x)
-            if not kids:
-                continue
-            base_root = ear_root[x]
-            base_dist = dist[x] + 1
-            for c in kids:
-                if owner[c] == label:
-                    continue
-                ear_root[c] = base_root
-                dist[c] = base_dist
-                evaluate[c] = 1
-                nxt.append(c)
+            for c in children.get(x, ()):
+                if owner[c] != label:
+                    ear_root[c] = ear_root[x]
+                    dist[c] = dist[x] + 1
+                    evaluate[c] = 1
+                    nxt.append(c)
         st.queue.extend(nxt)
         level = nxt
+    return len(members) - start
 
 
 def update_bfs_tree_delete(st: GrowthState, removed) -> None:
@@ -250,75 +213,109 @@ def update_bfs_tree_delete(st: GrowthState, removed) -> None:
             evaluate[v] = 1
 
 
-def grow(st: GrowthState, rng) -> int:
-    """Extend S by one ear; returns the number of nodes added, 0 when no
-    ear fits.
+def grow(st: GrowthState, rng, limit: int = 1) -> int:
+    """Extend S ear by ear until at least `limit` nodes were added; returns
+    the number added, less than `limit` only once no ear fits.
 
-    Dequeued nodes are processed only when flagged for evaluation and when
-    dist still fits the remaining capacity.  Scanning a node either extends
-    the tree (unvisited free neighbors) or tests non-tree edges as ears by
+    A dequeued node is scanned only when flagged for evaluation and when
+    its dist fits the remaining capacity.  A scan extends the tree to
+    unvisited free neighbors and tests the other edges as ears by
     try_make_ear's rules, inline; each valid ear is accepted with
-    probability accept_prob (one RNG draw), and only an accepted one is
-    built (try_make_ear) and folded in (update_add_ear).  Returns right
-    after the first accepted ear with the scan left resumable, so repeated
-    calls grow S ear by ear until the queue empties or S reaches capacity.
+    probability accept_prob (one RNG draw), then built and folded in.  That
+    ends the scan, whose node the fold re-enqueued with its evaluate flag
+    kept.  So a call with limit L makes the draws and leaves the state of
+    single-ear calls until L nodes were added or one adds nothing.
     """
     adj = st.graph.adjacency
-    parent = st.parent
-    dist = st.dist
-    ear_root = st.ear_root
-    evaluate = st.evaluate
-    owner = st.owner
-    label = st.label
-    children = st.children
+    parent, children, dist, ear_root = st.parent, st.children, st.dist, st.ear_root
+    evaluate, owner, label = st.evaluate, st.owner, st.label
     queue = st.queue
-    members = st.members
+    popleft, push, draw = queue.popleft, queue.append, rng.random
     accept_prob = st.accept_prob
-    capacity = st.capacity
-    while queue:
-        size = len(members)
-        if size >= capacity:
-            break
-        cur = queue.popleft()
-        oc = owner[cur]
-        if not evaluate[cur] or (oc != label and oc != -1):
+    size = len(st.members)
+    room = st.capacity - size
+    grown = 0
+    while queue and room > 0:
+        cur = popleft()
+        if not evaluate[cur]:
             continue
-        d = dist[cur]
-        room = capacity - size
+        oc, d = owner[cur], dist[cur]
         if d > room:
             # too deep to seed an ear under current capacity; a future
             # re-root would re-enqueue it with a smaller dist
             continue
-        # fixed for the whole scan, which only extends the tree below cur
-        pc, rc = parent[cur], ear_root[cur]
-        rc_in = owner[rc] == label
         cur_kids = None
-        for w in adj[cur]:
-            ow = owner[w]
-            if (ow != label and ow != -1) or w == pc or parent[w] == cur:
-                continue
-            dw = dist[w]
-            if dw == INF:
-                parent[w] = cur
-                if cur_kids is None:
-                    cur_kids = children.setdefault(cur, [])
-                cur_kids.append(w)
-                ear_root[w] = rc
-                dist[w] = d + 1
-                evaluate[w] = 1
-                queue.append(w)
-            elif (rw := ear_root[w]) != rc:
-                rw_in = owner[rw] == label
-                if not (size == 1 or (rc_in and rw_in)):
-                    # dangling pre-cycle anchor; cannot attach to S
+        if oc == label:
+            # cur is its own ear root at dist 0 with no parent outside S, so
+            # an edge into S or another subgraph is skipped before any test
+            for w in adj[cur]:
+                if owner[w] != -1 or parent[w] == cur:
                     continue
-                added = d + dw + (not rc_in) + (not rw_in)
-                if 0 < added <= room and rng.random() <= accept_prob:
-                    ear = try_make_ear(st, cur, w)
-                    update_add_ear(st, ear)
-                    st.last_ear = ear
-                    # scan unfinished: cur was re-enqueued by the update
-                    # and keeps its evaluate flag
-                    return len(ear.added)
-        evaluate[cur] = 0
-    return 0
+                if (dw := dist[w]) == INF:
+                    parent[w] = cur
+                    if cur_kids is None:
+                        cur_kids = children.setdefault(cur, [])
+                    cur_kids.append(w)
+                    ear_root[w] = cur
+                    dist[w] = 1
+                    evaluate[w] = 1
+                    push(w)
+                    continue
+                rw = ear_root[w]
+                if rw == cur:
+                    continue
+                rw_in = owner[rw] == label
+                if not (rw_in or size == 1):
+                    continue        # dangling pre-cycle anchor
+                added = dw + (not rw_in)
+                if 0 < added <= room and draw() <= accept_prob:
+                    break
+            else:
+                evaluate[cur] = 0
+                continue
+        elif oc == -1:
+            # fixed for the whole scan, which only extends the tree below cur
+            pc, rc = parent[cur], ear_root[cur]
+            rc_in = owner[rc] == label
+            anchored = size == 1 or rc_in   # else ears into S cannot attach
+            for w in adj[cur]:
+                ow = owner[w]
+                if ow == -1:
+                    # pc and cur's children, if free, hang under rc as well
+                    if (dw := dist[w]) == INF:
+                        parent[w] = cur
+                        if cur_kids is None:
+                            cur_kids = children.setdefault(cur, [])
+                        cur_kids.append(w)
+                        ear_root[w] = rc
+                        dist[w] = d + 1
+                        evaluate[w] = 1
+                        push(w)
+                        continue
+                    rw = ear_root[w]
+                    if rw == rc:
+                        continue
+                    rw_in = owner[rw] == label
+                    if not (size == 1 or (rc_in and rw_in)):
+                        continue    # dangling pre-cycle anchor
+                    added = d + dw + (not rc_in) + (not rw_in)
+                elif ow == label and w != pc and w != rc and anchored:
+                    # an S node is at dist 0, its own ear root and never
+                    # the child of a node outside S
+                    added = d + (not rc_in)
+                else:
+                    continue
+                if 0 < added <= room and draw() <= accept_prob:
+                    break
+            else:
+                evaluate[cur] = 0
+                continue
+        else:
+            continue
+        added = update_add_ear(st, try_make_ear(st, cur, w))
+        grown += added
+        size += added
+        room -= added
+        if grown >= limit:
+            break
+    return grown

@@ -2,9 +2,9 @@
 parallel around their roots, interleaved in random bursts.
 
 Each outer step draws a burst length MaxL in [2, max_exp_length], picks a
-random still-expandable subgraph and lets it add single ears until the
-burst is filled or it cannot continue.  All subgraphs share one owner list
-(node -> subgraph label, -1 = free), which is also the resulting
+random still-expandable subgraph and lets it add ears, in one grow call,
+until the burst is filled or it cannot continue.  All subgraphs share one
+owner list (node -> subgraph label, -1 = free), which is also the resulting
 assignment: every accepted ear writes its label over its new nodes and
 appends them to one claim log.  When a subgraph starts a burst it prunes
 the claims it has not seen from its BFS tree in one batch; a prune touches
@@ -24,9 +24,9 @@ identical solutions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .graph import Instance, check_type, parse_json
+from .graph import Instance, check_finite, check_type, parse_json
 from .growth import grow, init_growth, update_bfs_tree_delete
 
 __all__ = [
@@ -48,7 +48,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.p0 <= 1.0):
+        for f in fields(self):
+            if f.type == "int":
+                check_type(getattr(self, f.name), int, f.name)
+        if not (0.0 <= check_finite(self.p0, "p0") <= 1.0):
             raise ValueError("p0 must be in [0, 1]")
         if self.max_exp_length < 2:
             raise ValueError("max_exp_length must be >= 2")
@@ -112,13 +115,8 @@ def _grow_parallel(instance: Instance, owner: list[int], labels, config: SolverC
         st = states[i]
         update_bfs_tree_delete(st, claimed[seen[i]:])
         start = len(st.members)
-        grown = 0
-        while grown < max_l:
-            added = grow(st, rng)
-            grown += added
-            if not added or len(st.members) >= instance.capacity:
-                expandable.remove(i)
-                break
+        if grow(st, rng, max_l) < max_l or len(st.members) >= instance.capacity:
+            expandable.remove(i)
         # only this state claimed during its burst: it needs no prune of them
         claimed += st.members[start:]
         seen[i] = len(claimed)

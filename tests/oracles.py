@@ -3,7 +3,8 @@
 Everything here is written from the definitions, on purpose sharing no code
 with src/: connectivity by plain BFS, bi-connectivity by delete-one-vertex
 connectivity, optima by exhaustive labeling, distances by multi-source BFS,
-the GROW-N walk in its original rebuild-every-step form, and ear growth and
+the GROW-N walk in its original rebuild-every-step form, ear growth (with
+its Ear-building ear builder) and
 parallel construction in their build-before-draw, prune-every-sibling form,
 the local search in its copy-every-candidate, rebuild-every-accept form,
 the generator's block trim and placement in their recheck-every-removal,
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from dataclasses import dataclass
 from itertools import product
 
 from bcpart import GROW_N, GROW_R, Instance, Solution, build_graph
@@ -24,7 +26,7 @@ from bcpart.local_search import SearchStats, select_regrow_set
 from bcpart.generate import (Block, GeneratedInstance, GenerationError, _boundary_points,
                              _probe_cross)
 from bcpart.graph import disc_radius, unit_disc_graph
-from bcpart.growth import INF, init_growth, try_make_ear, update_add_ear, update_bfs_tree_delete
+from bcpart.growth import INF, init_growth, update_bfs_tree_delete
 
 
 def connected(adjacency, nodes) -> bool:
@@ -221,10 +223,114 @@ def ref_grow_n_walk(adjacency, seeds, frontier_hits, target, k, attempts, rng):
     return None
 
 
-def ref_grow(st, rng) -> int:
+@dataclass
+class Ear:
+    """An accepted ear: node sequence endpoint..endpoint, plus the subset
+    of sequence nodes that are new to S (in sequence order).  `cycle` marks
+    the initial ear, which closes into a cycle through the root."""
+
+    sequence: list[int]
+    added: list[int]
+    cycle: bool = False
+
+
+def ref_walk_up(st, u: int) -> list[int]:
+    """Tree path [u, parent(u), ..., ear_root(u)] following parent links."""
+    path = [u]
+    target = st.ear_root[u]
+    cur = u
+    while cur != target:
+        cur = st.parent[cur]
+        path.append(cur)
+    return path
+
+
+def ref_try_make_ear(st, u: int, v: int) -> Ear | None:
+    """Validate the non-tree edge (u, v) as an ear and build it.
+
+    Requires different ear roots and enough remaining capacity for every
+    node the ear would add (walk nodes plus any endpoint anchor not yet in
+    S, which only happens before the first ear).  Ears that would add
+    nothing are rejected.
+    """
+    ru = st.ear_root[u]
+    rv = st.ear_root[v]
+    if ru == rv:
+        return None
+    ru_in = st.owner[ru] == st.label
+    rv_in = st.owner[rv] == st.label
+    added_count = st.dist[u] + st.dist[v]
+    if not ru_in:
+        added_count += 1
+    if not rv_in:
+        added_count += 1
+    if added_count == 0:
+        return None
+    size = len(st.members)
+    if size + added_count > st.capacity:
+        return None
+    initial = size == 1
+    if not initial and not (ru_in and rv_in):
+        # dangling pre-cycle anchor; cannot attach to S
+        return None
+    left = ref_walk_up(st, u)
+    right = ref_walk_up(st, v)
+    seq = left[::-1] + right
+    if initial and rv != st.root:
+        seq = [st.root] + seq
+    owner, label = st.owner, st.label
+    added = [x for x in seq if owner[x] != label]
+    return Ear(sequence=seq, added=added, cycle=initial)
+
+
+def ref_update_add_ear(st, ear: Ear) -> None:
+    """Fold an accepted ear into the BFS tree.
+
+    Ear nodes become S members (owner = this state's label) at dist 0
+    rooted at themselves.  Tree descendants hanging below them (stopping at
+    other S nodes) are re-rooted onto their nearest ear ancestor, get dist =
+    steps to it, are flagged for re-evaluation and re-enqueued.  Enqueue
+    order is ear sequence first, then descendants level by level, so shorter
+    new ears are found first.
+    """
+    owner = st.owner
+    label = st.label
+    dist = st.dist
+    ear_root = st.ear_root
+    evaluate = st.evaluate
+    children = st.children
+    members = st.members
+    for x in ear.sequence:
+        dist[x] = 0
+        ear_root[x] = x
+        if owner[x] != label:
+            owner[x] = label
+            members.append(x)
+    st.queue.extend(ear.sequence)
+    level = ear.sequence
+    while level:
+        nxt = []
+        for x in level:
+            kids = children.get(x)
+            if not kids:
+                continue
+            base_root = ear_root[x]
+            base_dist = dist[x] + 1
+            for c in kids:
+                if owner[c] == label:
+                    continue
+                ear_root[c] = base_root
+                dist[c] = base_dist
+                evaluate[c] = 1
+                nxt.append(c)
+        st.queue.extend(nxt)
+        level = nxt
+
+
+def ref_grow(st, rng) -> Ear | None:
     """The first release's grow, kept verbatim as the reference for the
-    test-draw-build one: every valid ear is built by try_make_ear before
-    its draw."""
+    test-draw-build one: every valid ear is built by ref_try_make_ear
+    before its draw.  Returns the accepted ear, None once no ear fits."""
     adj = st.graph.adjacency
     parent = st.parent
     dist = st.dist
@@ -262,17 +368,16 @@ def ref_grow(st, rng) -> int:
                 evaluate[w] = 1
                 queue.append(w)
             else:
-                ear = try_make_ear(st, cur, w)
+                ear = ref_try_make_ear(st, cur, w)
                 if ear is None:
                     continue
                 if rng.random() <= accept_prob:
-                    update_add_ear(st, ear)
-                    st.last_ear = ear
+                    ref_update_add_ear(st, ear)
                     # scan unfinished: cur was re-enqueued by the update
                     # and keeps its evaluate flag
-                    return len(ear.added)
+                    return ear
         evaluate[cur] = 0
-    return 0
+    return None
 
 
 def ref_grow_parallel(instance, owner, labels, config, rng):
@@ -291,10 +396,11 @@ def ref_grow_parallel(instance, owner, labels, config, rng):
         st = states[i]
         grown = 0
         while grown < max_l:
-            added = ref_grow(st, rng)
+            ear = ref_grow(st, rng)
+            added = len(ear.added) if ear else 0
             if added:
                 grown += added
-                new_nodes = st.last_ear.added
+                new_nodes = ear.added
                 for other in states:
                     if other is not st:
                         update_bfs_tree_delete(other, new_nodes)

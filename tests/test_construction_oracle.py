@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bcpart.growth as growth
 import bcpart.solver as solver
 from bcpart import Instance, SolverConfig
 from bcpart.growth import INF
@@ -95,14 +96,14 @@ def assert_tree_invariant(state):
        p0=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
 def test_ear_roots_reachable_after_every_ear_and_prune(seed, k, capacity, p0):
     instance, config, (s_build, s_pick, s_regrow) = random_case(seed, k, capacity, p0)
-    grow, prune = solver.grow, solver.update_bfs_tree_delete
+    fold, prune = growth.update_add_ear, solver.update_bfs_tree_delete
     checks = [0]
 
-    def checked_grow(state, rng):
-        added = grow(state, rng)
-        if added:
-            assert_tree_invariant(state)
-            checks[0] += 1
+    def checked_fold(state, seq):
+        # grow folds each accepted ear through this name, mid-burst too
+        added = fold(state, seq)
+        assert_tree_invariant(state)
+        checks[0] += 1
         return added
 
     def checked_prune(state, removed):
@@ -111,7 +112,7 @@ def test_ear_roots_reachable_after_every_ear_and_prune(seed, k, capacity, p0):
         checks[0] += 1
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "grow", checked_grow)
+        mp.setattr(growth, "update_add_ear", checked_fold)
         mp.setattr(solver, "update_bfs_tree_delete", checked_prune)
         built = [-1] * instance.graph.node_count
         _grow_parallel(instance, built, range(k), config, Random(s_build))

@@ -158,6 +158,17 @@ def test_gen_config_validation():
             GenConfig(n=1, capacity=5, alpha=bad)
         with pytest.raises(ValueError, match="delta must be finite"):
             GenConfig(n=1, capacity=5, alpha=2.0, delta=bad)
+    # every integer field, seed included, must be an int (bools rejected),
+    # and gamma a finite number; these used to be accepted or to fail late
+    wrong_types = [("capacity", 10.0), ("n", 2.0), ("seed", None), ("seed", 1.5),
+                   ("position_trials", True), ("block_attempt_budget", "9"),
+                   ("assembly_restarts", 2.0), ("max_batches_per_box", None)]
+    for name, value in wrong_types:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GenConfig(**{"n": 1, "capacity": 5, "alpha": 2.0, name: value})
+    for bad in ("0.2", None, True, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be (a number|finite)"):
+            GenConfig(n=1, capacity=5, alpha=2.0, gamma=bad)
 
 
 def test_reduction_example_values():

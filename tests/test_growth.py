@@ -1,8 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from bcpart import build_graph, grow, init_growth, is_biconnected
+import bcpart.growth as growth
+import bcpart.solver as solver
+from bcpart import (GROW_N, GROW_R, GenConfig, SolverConfig, build_graph, generate_instance,
+                    generate_solution, grow, init_growth, is_biconnected, local_search)
 from bcpart.growth import INF, try_make_ear
 from oracles import exact_hop_layers, random_biconnected_graph, random_graph
 
@@ -18,6 +23,20 @@ def drain_single_ears(st, rng):
         if added == 0:
             return
         yield added
+
+
+def record_folds(monkeypatch):
+    """Wrap update_add_ear, the name grow folds each accepted ear through;
+    returns the list of sequences it was handed, in order."""
+    folds = []
+    fold = growth.update_add_ear
+
+    def recorded(st, seq):
+        folds.append(list(seq))
+        return fold(st, seq)
+
+    monkeypatch.setattr(growth, "update_add_ear", recorded)
+    return folds
 
 
 def test_init_on_cycle():
@@ -96,17 +115,20 @@ def test_try_make_ear_same_root_rejected():
     assert st.members == [0]
 
 
-def test_first_ear_closes_through_root():
+def test_first_ear_closes_through_root(monkeypatch):
     g = cycle_graph(5)
     st = init_growth(g, 0, 5, 1.0)
     rng = random.Random(1)
+    folds = record_folds(monkeypatch)
+    before = set(st.members)
     added = grow(st, rng)
     assert added == 4
-    ear = st.last_ear
-    assert ear is not None and ear.cycle
-    assert ear.sequence[0] == 0            # closed through the root
-    assert sorted(ear.sequence) == [0, 1, 2, 3, 4]
-    assert sorted(ear.added) == [1, 2, 3, 4]
+    assert len(folds) == 1
+    seq = folds[0]
+    assert before == {0}                   # S was {root}: the cycle ear
+    assert seq[0] == 0                     # closed through the root
+    assert sorted(seq) == [0, 1, 2, 3, 4]
+    assert sorted(x for x in seq if x not in before) == [1, 2, 3, 4]
 
 
 def test_complete_graph_always_fills():
@@ -196,7 +218,8 @@ def test_far_nodes_skipped_but_kept():
         assert st.evaluate[u] == 1
 
 
-def test_every_accepted_ear_is_open():
+def test_every_accepted_ear_is_open(monkeypatch):
+    folds = record_folds(monkeypatch)
     for seed in range(120):
         rng = random.Random(seed)
         g = random_graph(rng, rng.randint(4, 14), rng.uniform(0.25, 0.6))
@@ -205,10 +228,10 @@ def test_every_accepted_ear_is_open():
         st = init_growth(g, root, cap, 1.0)
         before = set(st.members)
         for _ in drain_single_ears(st, rng):
-            ear = st.last_ear
-            seq = ear.sequence
+            seq = folds.pop()
+            assert not folds                # one fold per single-ear call
             assert len(seq) == len(set(seq))
-            if ear.cycle:
+            if before == {root}:            # S was {root}: the cycle ear
                 assert root in seq
             else:
                 assert seq[0] in before and seq[-1] in before
@@ -262,3 +285,80 @@ def test_growth_is_deterministic():
         while grow(st_b, rng_b):
             pass
         assert st_a.members == st_b.members
+
+
+def growth_snapshot(st, rng):
+    return (st.members, st.owner, st.parent, st.dist, st.ear_root, st.evaluate,
+            st.children, list(st.queue), rng.getstate())
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), capacity=hs.integers(3, 15),
+       p0=hs.sampled_from([0.3, 0.5, 1.0]), limits=hs.lists(hs.integers(1, 12), min_size=1,
+                                                             max_size=4),
+       shared=hs.booleans())
+def test_one_burst_call_equals_single_ear_calls(seed, capacity, p0, limits, shared):
+    """grow(st, rng, limit) makes the draws and leaves the state of
+    grow(st, rng) calls until they sum to limit or one adds nothing, from
+    a fresh state and from one left mid-scan by an earlier burst."""
+    case = random.Random(seed)
+    n = case.randint(4, 30)
+    g = random_graph(case, n, case.uniform(0.1, 0.5))
+    root = case.randrange(n)
+    owner = None
+    if shared:
+        # other subgraphs hold some nodes of the shared owner list
+        owner = [-1] * n
+        for u in case.sample(range(n), case.randint(1, n // 2)):
+            owner[u] = case.randint(1, 3)
+        owner[root] = 0
+    grow_seed = case.getrandbits(32)
+    burst = init_growth(g, root, capacity, p0, None if owner is None else list(owner))
+    single = init_growth(g, root, capacity, p0, None if owner is None else list(owner))
+    burst_rng, single_rng = random.Random(grow_seed), random.Random(grow_seed)
+    for limit in limits:
+        got = grow(burst, burst_rng, limit)
+        total = 0
+        while total < limit:
+            added = grow(single, single_rng)
+            total += added
+            if not added:
+                break
+        assert got == total
+        assert growth_snapshot(burst, burst_rng) == growth_snapshot(single, single_rng)
+
+
+def test_ear_counters_agree_with_grow(monkeypatch):
+    """What a tracer wrapping the ear functions by name reads: every ear
+    grow builds is valid, each one is folded once, and the folds add up to
+    what grow reports, in construction and in the search of both modes."""
+    calls = {"made": 0, "none": 0, "folded": 0, "fold_nodes": 0, "grow_nodes": 0}
+    make, fold, burst = growth.try_make_ear, growth.update_add_ear, solver.grow
+
+    def counted_make(st, u, v):
+        seq = make(st, u, v)
+        calls["made"] += 1
+        calls["none"] += seq is None
+        return seq
+
+    def counted_fold(st, seq):
+        added = fold(st, seq)
+        calls["folded"] += 1
+        calls["fold_nodes"] += added
+        return added
+
+    def counted_grow(st, rng, *limit):
+        added = burst(st, rng, *limit)
+        calls["grow_nodes"] += added
+        return added
+
+    monkeypatch.setattr(growth, "try_make_ear", counted_make)
+    monkeypatch.setattr(growth, "update_add_ear", counted_fold)
+    monkeypatch.setattr(solver, "grow", counted_grow)
+    inst = generate_instance(GenConfig(n=5, capacity=10, alpha=2.0, seed=0)).instance
+    generate_solution(inst, SolverConfig(seed=3), random.Random(3))
+    for mode in (GROW_N, GROW_R):
+        local_search(inst, SolverConfig(seed=3, max_iterations=60, stagnation_limit=60), mode)
+    assert calls["made"] > 0 and calls["none"] == 0
+    assert calls["made"] == calls["folded"]
+    assert calls["fold_nodes"] == calls["grow_nodes"] > 0

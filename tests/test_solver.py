@@ -187,3 +187,24 @@ def test_solver_config_validation():
         SolverConfig(max_exp_length=1)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_iterations", 5.5),       # used to run 6 iterations
+    ("max_iterations", True),      # used to run 1
+    ("seed", None),                # used to run unseeded
+    ("seed", 7.0),
+    ("max_exp_length", 2.5),       # used to fail inside the search
+    ("regrow_size", "9"),
+    ("stagnation_limit", None),
+    ("grow_n_attempts", 50.0),
+])
+def test_solver_config_rejects_non_integer_fields(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SolverConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["0.5", None, True, float("nan"), float("inf")])
+def test_solver_config_rejects_non_finite_or_non_number_p0(value):
+    with pytest.raises(ValueError, match="p0 must be (a number|finite)"):
+        SolverConfig(p0=value)
