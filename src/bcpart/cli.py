@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a known-optimum instance")
     p.add_argument("--n", type=int, required=True, help="number of subgraphs")
     p.add_argument("--m", type=int, required=True, help="size cap per subgraph")
-    p.add_argument("--alpha", type=float, default=2.0, help="density knob (>1)")
+    p.add_argument("--alpha", type=float, default=2.0, help="density knob (> 0, larger = sparser)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="instance JSON path")
     p.set_defaults(func=_cmd_generate)

@@ -21,7 +21,6 @@ from .graph import (
     Graph,
     Instance,
     _blocks,
-    articulation_points,
     biconnected_components,
     build_graph,
     check_finite,
@@ -95,54 +94,164 @@ def _boundary_points(bw: float, bh: float, per_edge: int, rng: Random):
     return pts
 
 
+def _neighbour_walk(g: Graph, nodes: set[int], v: int):
+    """The neighbour test of `_neighbour_verdict` with what it saw:
+    (True, None); (False, (w, ring)) for a neighbour w left with the ring
+    of fewer than 2 neighbours in S - v = `nodes`; or (None, (near,
+    blocks)) with every block of T as the walk yielded it."""
+    adj = g.adjacency
+    near = nodes.intersection(adj[v])
+    rings = []
+    for w in near:
+        ring = nodes.intersection(adj[w])
+        if len(ring) < 2:
+            return False, (w, ring)
+        rings.append(ring)
+    blocks = []
+    for found in _blocks(g, near.union(*rings), near):
+        if near.issubset(found[2]):
+            return True, None
+        blocks.append(found)
+    return None, (near, blocks)
+
+
 def _neighbour_verdict(g: Graph, nodes: set[int], v: int) -> bool | None:
     """Whether S - v = `nodes` is bi-connected, read off v's neighbours
     alone (see `_trim_to_size`), or None when they cannot tell."""
+    return _neighbour_walk(g, nodes, v)[0]
+
+
+def _smaller_side(nodes: set[int], u: int, side) -> set[int]:
+    """`side`, a union of components of `nodes` - u, or the rest of
+    `nodes` - u, whichever holds fewer nodes."""
+    side = set(side)
+    if 2 * len(side) > len(nodes) - 1:
+        side = nodes.difference(side, (u,))
+    return side
+
+
+def _stray_component(adj, nodes: set[int], near: set[int], u: int):
+    """The component of `nodes` - u around one node of `near` - u, or
+    None as soon as it has reached every node of `near` - u, which must
+    hold two or more."""
+    start = next(w for w in near if w != u)
+    left = len(near) - 1 - (u in near)
+    seen = {u, start}
+    order = [start]
+    for x in order:
+        for y in adj[x]:
+            if y in nodes and y not in seen:
+                seen.add(y)
+                if y in near:
+                    left -= 1
+                    if not left:
+                        return None
+                order.append(y)
+    return order
+
+
+def _separator(g: Graph, nodes: set[int], v: int):
+    """None when S - v = `nodes` is bi-connected, else (u, A) for a
+    separation pair {v, u} of S and the smaller side A of S - v - u
+    (see `_trim_to_size`)."""
+    verdict, found = _neighbour_walk(g, nodes, v)
+    if verdict:
+        return None
+    if verdict is False:
+        w, (u,) = found  # w's only other neighbour u cuts it off
+        return u, {w}
+    near, blocks = found
+    if len({root for root, _p, _block in blocks}) > 1:
+        if is_biconnected(g, nodes):
+            return None
+        _root, u, block = next(_blocks(g, nodes, (next(iter(nodes)),)))
+        return u, _smaller_side(nodes, u, block[:-1])
+    # near's share of each branch of T at a block's top p: a block's
+    # subtree holds its own near nodes below p and their subtrees', and
+    # the branch through p's parent block holds the rest
+    below: dict[int, int] = {}
+    branches: dict[int, list[int]] = {}
+    for _root, p, block in blocks:
+        held = sum((x in near) + below.get(x, 0) for x in block[:-1])
+        below[p] = below.get(p, 0) + held
+        branches.setdefault(p, []).append(held)
     adj = g.adjacency
-    near = nodes.intersection(adj[v])
-    rings = [nodes.intersection(adj[w]) for w in near]
-    if not all(len(ring) >= 2 for ring in rings):
-        return False
-    return any(near.issubset(block)
-               for _r, _p, block in _blocks(g, near.union(*rings), near)) or None
+    for u, held in branches.items():
+        rest = len(near) - (u in near) - below[u]
+        if sum(1 for h in held if h) + (rest > 0) >= 2:
+            side = _stray_component(adj, nodes, near, u)
+            if side is not None:
+                return u, _smaller_side(nodes, u, side)
+    return None
+
+
+def _remembered(pairs: dict, nodes: set[int], v: int) -> bool:
+    """Whether a separation pair {v, u} in `pairs` still separates S =
+    `nodes`: u is in S and both of its sides keep a node."""
+    return any(u in nodes and 0 < len(side & nodes) < len(nodes) - 2
+               for u, side in pairs.get(v, ()))
 
 
 def _trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int] | None:
     """Shrink a bi-connected node set to `target` (>= 3) nodes.
 
     Repeatedly removes the outermost (farthest from the current centroid)
-    non-cut node whose removal keeps the set bi-connected; gives up when no
-    single node can be removed safely.  Two exact tests on the neighbours
-    `near` of the removed node v settle most removals before the set S - v
-    (at least 3 nodes) is rechecked whole: a neighbour left with fewer than
-    2 neighbours in S - v proves it is not bi-connected, and near lying
-    inside one block of T, the subgraph induced by near and near's
-    neighbours in S - v, proves that it is.  (A cut vertex u of S - v would
-    split near - u between two components of S - v - u, as S - u is
-    connected and every path in it to v ends in near; but near - u is
-    connected inside that block minus u, a subgraph of S - v - u.)
+    node whose removal keeps the set bi-connected; gives up when no single
+    node can be removed safely.  S starts bi-connected and only such
+    removals are kept, so S never has a cut vertex to exclude up front.
+
+    A removal of v is settled from v's neighbours `near` where it can be,
+    with S - v (at least 3 nodes) connected, as S is bi-connected:
+
+    - a neighbour w left with fewer than 2 neighbours in S - v refuses it;
+      w's other neighbour u cuts w off;
+    - near lying inside one block of T, the subgraph induced by near and
+      near's neighbours in S - v, accepts it.  A cut vertex u of S - v
+      would split near - u between two components of S - v - u, as S - u
+      is connected and every path in it to v ends in near; but near - u
+      is connected inside that block minus u, a subgraph of S - v - u;
+    - otherwise, with near inside one component of T, the same argument
+      shows that a cut vertex u of S - v must also be a cut vertex of T
+      that splits near - u (were u outside T or near - u connected in
+      T - u, near - u would be connected in S - v - u).  For each such u,
+      read off the blocks of T, every component of S - v - u holds a node
+      of near, so S - v - u is connected iff the component of one node of
+      near - u reaches all of them; the search grows it and stops there;
+    - with near split across T's components, S - v is rechecked whole
+      with `is_biconnected`, and a refusal takes its cut vertex u from
+      the first block the low-link walk closes.
+
+    Each refusal leaves a separation pair {v, u} of S with its smaller
+    side A.  S only shrinks, so while u is in S and both A and the rest of
+    S - v - u keep a node, S - {v, u} stays disconnected and both v and u
+    are refused again without a test.
     """
     nodes = set(nodes)
+    pairs: dict[int, list] = {}   # node -> [(partner, side)] of separation pairs
     while len(nodes) > target:
-        # one sweep per refresh of the cut set / centroid ordering; a node
-        # that fails the recheck is skipped for the rest of the sweep
-        cut = articulation_points(g, nodes)
+        # one sweep per refresh of the centroid ordering; a node that
+        # fails the test is skipped for the rest of the sweep
         cx = sum(coords[u][0] for u in nodes) / len(nodes)
         cy = sum(coords[u][1] for u in nodes) / len(nodes)
         cands = sorted(
-            (u for u in nodes if u not in cut),
+            nodes,
             key=lambda u: (-((coords[u][0] - cx) ** 2 + (coords[u][1] - cy) ** 2), u),
         )
         removed_any = False
         for v in cands:
             if len(nodes) == target:
                 break
+            if _remembered(pairs, nodes, v):
+                continue
             nodes.discard(v)
-            verdict = _neighbour_verdict(g, nodes, v)
-            if verdict or (verdict is None and is_biconnected(g, nodes)):
+            pair = _separator(g, nodes, v)
+            if pair is None:
                 removed_any = True
             else:
                 nodes.add(v)
+                u, side = pair
+                pairs.setdefault(v, []).append((u, side))
+                pairs.setdefault(u, []).append((v, side))
         if not removed_any:
             return None
     return nodes

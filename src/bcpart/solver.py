@@ -74,16 +74,6 @@ class Solution:
         object.__setattr__(self, "assignment", tuple(self.assignment))
         object.__setattr__(self, "objective", objective(self.assignment))
 
-    def subgraph_nodes(self, i: int) -> list[int]:
-        return [u for u, a in enumerate(self.assignment) if a == i]
-
-    def sizes(self, subgraph_count: int) -> list[int]:
-        out = [0] * subgraph_count
-        for a in self.assignment:
-            if a != -1:
-                out[a] += 1
-        return out
-
 
 def objective(assignment) -> int:
     """Number of assigned nodes (the quantity being maximized)."""

@@ -45,6 +45,16 @@ def connected(adjacency, nodes) -> bool:
     return len(seen) == len(nodes)
 
 
+def subgraph_members(solution, k) -> list[list[int]]:
+    """The nodes of each of the k subgraphs, ascending, read off the
+    solution's assignment."""
+    members = [[] for _ in range(k)]
+    for u, a in enumerate(solution.assignment):
+        if a != -1:
+            members[a].append(u)
+    return members
+
+
 def ref_biconnected(graph, nodes) -> bool:
     """Definition-based check: connected and still connected after removing
     any single vertex.  Same size conventions as the library (0 no, 1 yes,
@@ -483,7 +493,7 @@ def ref_local_search(instance, config, mode, trace=None):
     n = instance.graph.node_count
     neighbors, hits = ref_build_neighbor_graph(instance, best)
     memo = {}
-    sizes = best.sizes(k)
+    sizes = [len(part) for part in subgraph_members(best, k)]
     stagnation = 0
     while generated < config.max_iterations and stagnation < config.stagnation_limit:
         if best.objective == n:
@@ -507,7 +517,7 @@ def ref_local_search(instance, config, mode, trace=None):
             best = candidate
             neighbors, hits = ref_build_neighbor_graph(instance, best)
             memo = {}
-            sizes = best.sizes(k)
+            sizes = [len(part) for part in subgraph_members(best, k)]
             if trace is not None:
                 trace.append((generated, best.objective))
         else:

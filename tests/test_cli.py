@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import bcpart
-from bcpart import (GenerationError, generate_instance, instance_from_json, load_instance,
-                    load_solution, run_bench, solution_from_json, verify_solution)
+from bcpart import (GenerationError, Solution, generate_instance, instance_from_json,
+                    load_instance, load_solution, run_bench, solution_from_json,
+                    verify_solution)
 from bcpart.cli import main
 
 
@@ -31,6 +32,20 @@ def test_generate_writes_instance_and_certificate(tmp_path, capsys):
     cert_path = tmp_path / "inst.cert.json"
     cert = json.loads(cert_path.read_text())
     assert len(cert["blockMembership"]) == 10
+
+
+@pytest.mark.parametrize("alpha", ["1.0", "0.5"])
+def test_generate_takes_any_positive_alpha(tmp_path, capsys, alpha):
+    # GenConfig takes any positive finite alpha, so the help says "> 0"
+    out = tmp_path / "inst.json"
+    code, stdout, _ = run_cli(capsys, "generate", "--n", "2", "--m", "10",
+                              "--alpha", alpha, "--out", str(out))
+    assert code == 0 and json.loads(stdout)["optimum"] == 20
+    cert = json.loads((tmp_path / "inst.cert.json").read_text())
+    assert verify_solution(load_instance(out), Solution(cert["blockMembership"])).feasible
+    with pytest.raises(SystemExit):
+        main(["generate", "--help"])
+    assert "density knob (> 0, larger = sparser)" in capsys.readouterr().out
 
 
 def test_solve_single_pass_to_stdout(tmp_path, capsys):

@@ -2,13 +2,15 @@
 recheck-every-removal, probe-every-trial references (tests/oracles.py).
 
 The trim is compared on the bi-connected components of random disc
-graphs, and its neighbour test against the definition of bi-connectivity.
+graphs, and its neighbour test, separator search and refusals from
+remembered separation pairs against the definition of bi-connectivity.
 The block sampler is compared alone, down to the edge lists it builds its
 graphs from, and the whole generator, draws included, is compared by
 running it once with the library's functions and once with the references.
 The references run on their own copy of the low-link walker.
 """
 
+import math
 from random import Random
 from unittest.mock import patch
 
@@ -87,11 +89,16 @@ def _disc_components(seed, count, radius):
     return g, pts, biconnected_components(g)
 
 
+def _sparse_components(seed, count, scale):
+    # radius scale / sqrt(count): about pi * scale**2 neighbours per point
+    return _disc_components(seed, count, scale / math.sqrt(count))
+
+
 @CASES
-@given(seed=st.integers(0, 2**32 - 1), count=st.integers(3, 60),
-       radius=st.floats(0.15, 0.5), data=st.data())
-def test_trim_matches_reference(seed, count, radius, data):
-    g, pts, comps = _disc_components(seed, count, radius)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(3, 160),
+       scale=st.floats(0.9, 3.5), data=st.data())
+def test_trim_matches_reference(seed, count, scale, data):
+    g, pts, comps = _sparse_components(seed, count, scale)
     comp = max(comps, key=len, default=set())
     if len(comp) < 3:
         return
@@ -119,3 +126,63 @@ def test_neighbour_verdict_is_exact_and_covers_bi_connected_neighbours(seed, cou
             if (len(near) >= 3 and ref_biconnected(g, near)
                     and all(len(rest.intersection(g.adjacency[w])) >= 2 for w in near)):
                 assert verdict is True, (sorted(comp), v)
+
+
+def _separates(g, rest, u, side):
+    """Whether u is in `rest` and `side` and the rest of `rest` - u are
+    nonempty with no edge between them."""
+    other = rest - side - {u}
+    return (u in rest and side and side <= rest - {u} and other
+            and not any(other.intersection(g.adjacency[x]) for x in side))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(60, 160),
+       scale=st.floats(1.0, 1.5))
+def test_separator_is_exact(seed, count, scale):
+    # every removal from every bi-connected component S of 4 or more
+    # nodes, in sparse disc graphs where near often splits across T: the
+    # separator search settles what the neighbour test leaves open as the
+    # definition does, and every refusal names a separation pair {v, u}
+    # of S with its smaller side
+    g, _pts, comps = _sparse_components(seed, count, scale)
+    for comp in comps:
+        if len(comp) < 4:
+            continue
+        for v in sorted(comp):
+            rest = comp - {v}
+            verdict = gen._neighbour_verdict(g, rest, v)
+            pair = gen._separator(g, rest, v)
+            if verdict is None:
+                assert (pair is None) == ref_biconnected(g, rest), (sorted(comp), v)
+            else:
+                assert (pair is None) == verdict, (sorted(comp), v)
+            if pair is not None:
+                u, side = pair
+                assert _separates(g, rest, u, side), (sorted(comp), v, pair)
+                assert 2 * len(side) <= len(rest) - 1, (sorted(comp), v, pair)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(20, 160),
+       scale=st.floats(1.2, 2.0), data=st.data())
+def test_refusals_from_memory_are_exact(seed, count, scale, data):
+    # a trim refuses a removal from a remembered separation pair only when
+    # the set at that moment minus the node is not bi-connected
+    g, pts, comps = _sparse_components(seed, count, scale)
+    comp = max(comps, key=len, default=set())
+    if len(comp) < 4:
+        return
+    refused = []
+
+    def recorded(pairs, nodes, v):
+        found = remembered(pairs, nodes, v)
+        if found:
+            refused.append((nodes - {v}, v))
+        return found
+    remembered = gen._remembered
+    target = data.draw(st.integers(3, len(comp)))
+    with patch.object(gen, "_remembered", recorded):
+        gen._trim_to_size(g, comp, target, pts)
+    for rest, v in refused:
+        assert not ref_biconnected(g, rest), (sorted(comp), target, v)

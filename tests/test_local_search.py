@@ -9,7 +9,8 @@ from bcpart import (GROW_N, GROW_R, Instance, Solution, SolverConfig, build_grap
                     generate_solution, local_search, verify_solution)
 from bcpart.local_search import (NeighborLinks, build_neighbor_graph, regrow_partial,
                                  select_regrow_set)
-from oracles import random_instance, ref_grow_n_walk, unassigned_path_exists
+from oracles import (random_instance, ref_grow_n_walk, subgraph_members,
+                     unassigned_path_exists)
 
 # the package re-exports a function named local_search, so the module is
 # looked up by its full name
@@ -19,7 +20,7 @@ ls = importlib.import_module("bcpart.local_search")
 def working_copy(inst, sol):
     """The in-place search state of a solution: owner list, member lists, free set."""
     owner = list(sol.assignment)
-    members = [sol.subgraph_nodes(i) for i in range(inst.subgraph_count)]
+    members = subgraph_members(sol, inst.subgraph_count)
     free = {u for u, a in enumerate(owner) if a == -1}
     return owner, members, free
 
@@ -140,7 +141,8 @@ def test_select_all_full_returns_none():
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1))
     ng, hits = neighbor_graph(inst, sol)
     for mode in (GROW_R, GROW_N):
-        picked = select_regrow_set(inst, ng, sol.sizes(2), hits, 2, mode,
+        sizes = [len(part) for part in subgraph_members(sol, 2)]
+        picked = select_regrow_set(inst, ng, sizes, hits, 2, mode,
                                    SolverConfig(seed=0), random.Random(0), {})
         assert picked is None    # both subgraphs are at capacity
 
@@ -152,7 +154,8 @@ def test_select_needs_unassigned_frontier():
     inst = Instance(graph=g, roots=(0, 3), capacity=4)
     sol = Solution(assignment=(0, 0, 0, 1, 1, 1, -1))
     ng, hits = neighbor_graph(inst, sol)
-    picked = select_regrow_set(inst, ng, sol.sizes(2), hits, 2, GROW_R,
+    sizes = [len(part) for part in subgraph_members(sol, 2)]
+    picked = select_regrow_set(inst, ng, sizes, hits, 2, GROW_R,
                                SolverConfig(seed=0), random.Random(0), {})
     assert picked is None
 
@@ -163,7 +166,8 @@ def test_select_grow_r_members():
     sol = Solution(assignment=(0, 0, -1, 1, 1, 1, 2, 2, 2, -1, -1))
     ng, hits = neighbor_graph(inst, sol)
     for seed in range(30):
-        picked = select_regrow_set(inst, ng, sol.sizes(3), hits, 2, GROW_R,
+        sizes = [len(part) for part in subgraph_members(sol, 3)]
+        picked = select_regrow_set(inst, ng, sizes, hits, 2, GROW_R,
                                    SolverConfig(seed=seed), random.Random(seed), {})
         assert picked is not None and len(picked) == 2
         assert any(len([u for u in range(11) if sol.assignment[u] == i]) < 3
@@ -178,7 +182,8 @@ def test_select_grow_n_members_connected():
         sol = generate_solution(inst, SolverConfig(seed=seed), random.Random(seed))
         ng, hits = neighbor_graph(inst, sol)
         m = rng.randint(2, 4)
-        picked = select_regrow_set(inst, ng, sol.sizes(len(inst.roots)), hits, m, GROW_N,
+        sizes = [len(part) for part in subgraph_members(sol, len(inst.roots))]
+        picked = select_regrow_set(inst, ng, sizes, hits, m, GROW_N,
                                    SolverConfig(seed=seed), random.Random(seed), {})
         if picked is None:
             continue
@@ -287,7 +292,8 @@ def test_regrow_never_touches_outside_subgraphs():
         inst = random_instance(rng, max_nodes=14)
         sol = generate_solution(inst, SolverConfig(seed=seed), random.Random(seed))
         ng, hits = neighbor_graph(inst, sol)
-        picked = select_regrow_set(inst, ng, sol.sizes(len(inst.roots)), hits,
+        sizes = [len(part) for part in subgraph_members(sol, len(inst.roots))]
+        picked = select_regrow_set(inst, ng, sizes, hits,
                                    rng.randint(2, 3), GROW_R, SolverConfig(seed=seed), rng, {})
         if picked is None:
             continue
