@@ -8,9 +8,9 @@ oracle, known-optimum instance generation, and a batch bench harness.
 from .bench import BenchRow, CSV_HEADER, rows_to_csv, run_bench
 from .generate import (GenConfig, GeneratedInstance, GenerationError,
                        certificate_solution, generate_instance, reduce_mpgsd_star)
-from .graph import (Graph, Instance, articulation_points, biconnected_components,
-                    build_graph, disc_radius, instance_from_json, instance_to_json,
-                    is_biconnected, load_instance, save_instance, unit_disc_graph)
+from .graph import (Graph, Instance, biconnected_components, build_graph, disc_radius,
+                    instance_from_json, instance_to_json, is_biconnected, load_instance,
+                    save_instance, unit_disc_graph)
 from .growth import grow, init_growth
 from .local_search import GROW_N, GROW_R, SearchStats, local_search
 from .solver import (Solution, SolverConfig, generate_solution, load_solution,
@@ -23,7 +23,7 @@ __all__ = [
     "BenchRow", "CSV_HEADER", "rows_to_csv", "run_bench",
     "GenConfig", "GeneratedInstance", "GenerationError",
     "certificate_solution", "generate_instance", "reduce_mpgsd_star",
-    "Graph", "Instance", "articulation_points", "biconnected_components",
+    "Graph", "Instance", "biconnected_components",
     "build_graph", "disc_radius", "instance_from_json", "instance_to_json",
     "is_biconnected", "load_instance", "save_instance", "unit_disc_graph",
     "grow", "init_growth",

@@ -14,7 +14,7 @@ vector is kept as a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from random import Random
 
 from .graph import (
@@ -35,18 +35,24 @@ class GenerationError(RuntimeError):
     """Raised when sampling budgets run out without a valid artifact."""
 
 
+DELTA = 1.1                     # oversampling factor per point batch
+GAMMA = 0.2                     # cross-edge requirement factor
+POSITION_TRIALS = 1000          # candidate translations per block
+BLOCK_ATTEMPT_BUDGET = 100_000  # point batches per block
+ASSEMBLY_RESTARTS = 20          # placement passes before giving up
+MAX_BATCHES_PER_BOX = 16        # point batches per sampling box
+
+
 @dataclass(frozen=True)
 class GenConfig:
+    """What a generated instance depends on besides the module constants
+    above: n blocks of `capacity` nodes, the disc radius's `alpha` and
+    the RNG seed."""
+
     n: int                       # number of blocks / subgraphs
     capacity: int                # block size M
     alpha: float                 # density control; larger = sparser
-    delta: float = 1.1           # oversampling factor per point batch
-    gamma: float = 0.2           # cross-edge requirement factor
-    position_trials: int = 1000  # candidate translations per block
     seed: int = 0
-    block_attempt_budget: int = 100_000
-    assembly_restarts: int = 20
-    max_batches_per_box: int = 16
 
     def __post_init__(self):
         for f in fields(self):
@@ -58,10 +64,6 @@ class GenConfig:
             raise ValueError("capacity must be >= 3 (blocks need a cycle)")
         if check_finite(self.alpha, "alpha") <= 0:
             raise ValueError("alpha must be positive")
-        if check_finite(self.delta, "delta") < 1.0:
-            raise ValueError("delta must be >= 1")
-        if not (0.0 <= check_finite(self.gamma, "gamma") <= 1.0):
-            raise ValueError("gamma must be in [0, 1]")
 
 
 @dataclass
@@ -95,10 +97,11 @@ def _boundary_points(bw: float, bh: float, per_edge: int, rng: Random):
 
 
 def _neighbour_walk(g: Graph, nodes: set[int], v: int):
-    """The neighbour test of `_neighbour_verdict` with what it saw:
-    (True, None); (False, (w, ring)) for a neighbour w left with the ring
-    of fewer than 2 neighbours in S - v = `nodes`; or (None, (near,
-    blocks)) with every block of T as the walk yielded it."""
+    """Whether S - v = `nodes` is bi-connected, read off v's neighbours
+    alone (see `_trim_to_size`), with what the test saw: (True, None);
+    (False, (w, ring)) for a neighbour w left with the ring of fewer than
+    2 neighbours in S - v; or (None, (near, blocks)) when they cannot
+    tell, with every block of T as the walk yielded it."""
     adj = g.adjacency
     near = nodes.intersection(adj[v])
     rings = []
@@ -113,12 +116,6 @@ def _neighbour_walk(g: Graph, nodes: set[int], v: int):
             return True, None
         blocks.append(found)
     return None, (near, blocks)
-
-
-def _neighbour_verdict(g: Graph, nodes: set[int], v: int) -> bool | None:
-    """Whether S - v = `nodes` is bi-connected, read off v's neighbours
-    alone (see `_trim_to_size`), or None when they cannot tell."""
-    return _neighbour_walk(g, nodes, v)[0]
 
 
 def _smaller_side(nodes: set[int], u: int, side) -> set[int]:
@@ -260,11 +257,12 @@ def _trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int] | 
 def generate_block(capacity: int, n: int, cfg: GenConfig, rng: Random) -> Block:
     """Sample one bi-connected disc-graph block of exactly `capacity` nodes.
 
-    Points arrive in batches of ceil(capacity * delta) inside a random box
+    Points arrive in batches of ceil(capacity * DELTA) inside a random box
     of area about 1/n (the first batch pins up to 4 points per box side);
     after each batch the accumulated disc graph is checked for a
     bi-connected component of at least `capacity` nodes, which is then
-    trimmed down to size.  Each batch counts against the attempt budget.
+    trimmed down to size, with at most MAX_BATCHES_PER_BOX batches per
+    box.  Each batch counts against BLOCK_ATTEMPT_BUDGET.
     New points find their disc neighbours in a grid of cells a little wider
     than the radius, and their edges go in ascending earlier index.
     """
@@ -273,17 +271,17 @@ def generate_block(capacity: int, n: int, cfg: GenConfig, rng: Random) -> Block:
     # grid cells a little wider than d: even after float rounding, two
     # points within d of each other lie in the same or adjacent cells
     inv = 1.0 / (d * (1.0 + 1e-9))
-    batch_size = math.ceil(capacity * cfg.delta)
+    batch_size = math.ceil(capacity * DELTA)
     attempts = 0
-    while attempts < cfg.block_attempt_budget:
+    while attempts < BLOCK_ATTEMPT_BUDGET:
         shape = rng.uniform(0.5, 1.0)
         bw = min(1.0 / (math.sqrt(n) * shape), 1.0)
         bh = shape / math.sqrt(n)
         pts: list[tuple[float, float]] = []
         edges: list[tuple[int, int]] = []
         grid: dict[tuple[int, int], list[int]] = {}
-        for _ in range(cfg.max_batches_per_box):
-            if attempts >= cfg.block_attempt_budget:
+        for _ in range(MAX_BATCHES_PER_BOX):
+            if attempts >= BLOCK_ATTEMPT_BUDGET:
                 break
             attempts += 1
             if pts:
@@ -336,7 +334,7 @@ def generate_block(capacity: int, n: int, cfg: GenConfig, rng: Random) -> Block:
                          box=(span_x, span_y))
     raise GenerationError(
         f"no bi-connected {capacity}-node block found within "
-        f"{cfg.block_attempt_budget} sampling batches (alpha={cfg.alpha}, n={n})")
+        f"{BLOCK_ATTEMPT_BUDGET} sampling batches (alpha={cfg.alpha}, n={n})")
 
 
 def _probe_cross(coords_abs, grid, pts, d2):
@@ -363,10 +361,10 @@ def _probe_cross(coords_abs, grid, pts, d2):
 def assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> GeneratedInstance:
     """Translate blocks into the unit square and fuse them into one instance.
 
-    Every block after the first must gain at least max(3, ceil(gamma * its
-    edge count)) cross edges to the already-placed graph; among the sampled
-    positions that qualify, the one minimizing the merged maximum degree
-    wins (the first one on ties).  No position scores below the maximum
+    Every block after the first must gain at least max(3, ceil(GAMMA * its
+    edge count)) cross edges to the already-placed graph; among the
+    POSITION_TRIALS sampled positions that qualify, the one minimizing the
+    merged maximum degree wins (the first one on ties).  No position scores below the maximum
     degree of the placed graph or of the block, so once a qualifying one
     reaches that floor the remaining trials only draw their position.
     Node ids are randomly permuted at the end.
@@ -374,7 +372,7 @@ def assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> Gener
     d = disc_radius(cfg.alpha, cfg.n, cfg.capacity)
     d2 = d * d
     inv = 1.0 / d
-    for _ in range(cfg.assembly_restarts):
+    for _ in range(ASSEMBLY_RESTARTS):
         pts: list[tuple[float, float]] = []
         degrees: list[int] = []
         membership: list[int] = []
@@ -392,10 +390,10 @@ def assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> Gener
                 ty = rng.uniform(0.0, 1.0 - bh)
                 placed = (tx, ty, [])
             else:
-                min_con = max(3, math.ceil(cfg.gamma * block.graph.edge_count()))
+                min_con = max(3, math.ceil(GAMMA * block.graph.edge_count()))
                 best = None
                 floor = max(global_max_deg, max(block_deg))
-                for _ in range(cfg.position_trials):
+                for _ in range(POSITION_TRIALS):
                     tx = rng.uniform(0.0, 1.0 - bw)
                     ty = rng.uniform(0.0, 1.0 - bh)
                     if best is not None and best[0] == floor:
@@ -467,7 +465,7 @@ def assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> Gener
         return GeneratedInstance(instance, tuple(new_membership))
     raise GenerationError(
         f"could not place all {cfg.n} blocks with enough cross edges after "
-        f"{cfg.assembly_restarts} assembly passes")
+        f"{ASSEMBLY_RESTARTS} assembly passes")
 
 
 def generate_instance(cfg: GenConfig) -> GeneratedInstance:
@@ -509,11 +507,12 @@ def reduce_mpgsd_star(sup: int, demands) -> Instance:
             next_id += 1
         edges.append((2, prev))
     graph = build_graph(next_id, sorted(edges))
-    # bitset subset-sum up to sup
+    # bitset subset-sum up to sup; no subset sums past sum(demands), so a
+    # larger sup masks nothing and must not size the mask
     reach = 1
     for dval in demands:
         reach |= reach << dval
-    reach &= (1 << (sup + 1)) - 1
+    reach &= (1 << (min(sup, sum(demands)) + 1)) - 1
     best = reach.bit_length() - 1
     optimum = 3 + best if best > 0 else 1
     return Instance(

@@ -1,5 +1,5 @@
 """Graph primitives: adjacency-list graphs, unit-disc construction,
-articulation points and bi-connectivity tests, instance JSON I/O.
+bi-connectivity tests and components, instance JSON I/O.
 
 Neighbor lists keep edge insertion order; every algorithm in this package
 iterates neighbors in that order, so the edge sequence passed to build_graph
@@ -111,7 +111,7 @@ def _blocks(g: Graph, node_set, starts):
     bi-connected component (two nodes for a bridge); root is the start
     whose walk found it.  Discovery and low numbers live in two lists of
     g.node_count entries, where 0 means not yet seen; a start with no
-    neighbor in the set yields nothing.  Besides the three functions below,
+    neighbor in the set yields nothing.  Besides the two functions below,
     the generator's trim walks it on a removed node's neighbourhood.
     """
     adjacency = g.adjacency
@@ -150,23 +150,6 @@ def _blocks(g: Graph, node_set, starts):
                         del nodes[pos:]
                         block.append(p)
                         yield root, p, block
-
-
-def articulation_points(g: Graph, nodes) -> set[int]:
-    """Cut vertices of the subgraph induced by `nodes`.
-
-    Works per connected component of the induced subgraph; empty input
-    gives an empty result.  A DFS root is a cut vertex when it closes two
-    or more blocks, any other node when it closes one.
-    """
-    node_set = _induced_adjacency(g, nodes)
-    cut: set[int] = set()
-    closed: set[int] = set()   # nodes that closed a block; a root is cut at its second
-    for root, p, _block in _blocks(g, node_set, node_set):
-        if p != root or p in closed:
-            cut.add(p)
-        closed.add(p)
-    return cut
 
 
 def is_biconnected(g: Graph, nodes) -> bool:

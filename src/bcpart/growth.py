@@ -12,7 +12,7 @@ The very first ear is special: while S == {r} every neighbor of r is its
 own ear root, and a non-tree edge between two different branches closes a
 cycle through r.
 
-grow tests, draws, then builds: ears are tested inline, one RNG draw follows
+grow alone decides an ear: ears are tested inline, one RNG draw follows
 each valid ear, and only an accepted ear is walked (try_make_ear) and folded
 in (update_add_ear).  One grow call adds ears up to a node count, so a
 construction burst is one call.  Sibling claims are pruned in batches, in
@@ -97,33 +97,19 @@ def init_growth(g: Graph, root: int, capacity: int, accept_prob: float,
     return st
 
 
-def try_make_ear(st: GrowthState, u: int, v: int) -> list[int] | None:
-    """Validate the non-tree edge (u, v) as an ear and return its node
-    sequence ear_root(u)..u, v..ear_root(v), walked up the parent links;
-    the first ear is led by the root unless it already ends it.
-
-    Requires different ear roots and enough remaining capacity for every
-    node the ear would add (walk nodes plus any endpoint anchor not yet in
-    S, which only happens before the first ear).  Ears that would add
-    nothing are rejected (None).
-    """
-    ear_root, owner, label = st.ear_root, st.owner, st.label
+def try_make_ear(st: GrowthState, u: int, v: int) -> list[int]:
+    """The node sequence ear_root(u)..u, v..ear_root(v) of the ear that
+    grow accepted on the non-tree edge (u, v), walked up the parent links;
+    the first ear is led by the root unless it already ends it.  Tests
+    nothing: grow has already checked the ear."""
+    ear_root, parent = st.ear_root, st.parent
     ru, rv = ear_root[u], ear_root[v]
-    if ru == rv:
-        return None
-    ru_in, rv_in = owner[ru] == label, owner[rv] == label
-    added_count = st.dist[u] + st.dist[v] + (not ru_in) + (not rv_in)
-    size = len(st.members)
-    if (added_count == 0 or size + added_count > st.capacity
-            or size > 1 and not (ru_in and rv_in)):  # dangling pre-cycle anchor
-        return None
-    parent = st.parent
     seq = [u]
     while u != ru:
         u = parent[u]
         seq.append(u)
     seq.reverse()
-    if size == 1 and rv != st.root:
+    if len(st.members) == 1 and rv != st.root:
         seq.insert(0, st.root)
     seq.append(v)
     while v != rv:
@@ -219,11 +205,13 @@ def grow(st: GrowthState, rng, limit: int = 1) -> int:
 
     A dequeued node is scanned only when flagged for evaluation and when
     its dist fits the remaining capacity.  A scan extends the tree to
-    unvisited free neighbors and tests the other edges as ears by
-    try_make_ear's rules, inline; each valid ear is accepted with
-    probability accept_prob (one RNG draw), then built and folded in.  That
-    ends the scan, whose node the fold re-enqueued with its evaluate flag
-    kept.  So a call with limit L makes the draws and leaves the state of
+    unvisited free neighbors and tests the other edges as ears, inline:
+    different ear roots, room for every node the ear adds (walk nodes plus
+    any endpoint anchor not yet in S, which only happens before the first
+    ear), no dangling anchor and at least one node added.  Each valid ear
+    is accepted with probability accept_prob (one RNG draw), then built
+    and folded in.  That ends the scan, whose node the fold re-enqueued
+    with its evaluate flag kept.  So a call with limit L makes the draws and leaves the state of
     single-ear calls until L nodes were added or one adds nothing.
     """
     adj = st.graph.adjacency

@@ -74,34 +74,6 @@ def ref_biconnected(graph, nodes) -> bool:
     return True
 
 
-def ref_articulation_points(graph, nodes) -> set:
-    """Cut vertices by the remove-and-recheck definition, per component."""
-    nodes = set(nodes)
-    cut = set()
-    comps = []
-    left = set(nodes)
-    while left:
-        start = left.pop()
-        comp = {start}
-        todo = [start]
-        while todo:
-            u = todo.pop()
-            for v in graph.adjacency[u]:
-                if v in nodes and v not in comp:
-                    comp.add(v)
-                    todo.append(v)
-        left -= comp
-        comps.append(comp)
-    for comp in comps:
-        if len(comp) < 3:
-            continue
-        for v in comp:
-            rest = comp - {v}
-            if not connected(graph.adjacency, rest):
-                cut.add(v)
-    return cut
-
-
 def two_disjoint_paths(graph, nodes, s, t) -> bool:
     """Brute force: do two s-t paths with disjoint interiors exist in the
     induced subgraph?  Enumerates all simple paths; only for tiny graphs."""
@@ -646,7 +618,25 @@ def ref_lowlink_biconnected_components(g: Graph, nodes=None) -> list[set[int]]:
     return comps
 
 
-def ref_generate_block(capacity: int, n: int, cfg: GenConfig, rng: Random) -> Block:
+@dataclass(frozen=True)
+class RefGenConfig:
+    """The generator's config as the references read it: every value it
+    depends on, the library's module constants included, as a field with
+    the library's value as its default."""
+
+    n: int
+    capacity: int
+    alpha: float
+    delta: float = 1.1
+    gamma: float = 0.2
+    position_trials: int = 1000
+    seed: int = 0
+    block_attempt_budget: int = 100_000
+    assembly_restarts: int = 20
+    max_batches_per_box: int = 16
+
+
+def ref_generate_block(capacity: int, n: int, cfg: RefGenConfig, rng: Random) -> Block:
     """Sample one bi-connected disc-graph block of exactly `capacity` nodes.
 
     Points arrive in batches of ceil(capacity * delta) inside a random box
@@ -743,7 +733,8 @@ def ref_trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int]
     return nodes
 
 
-def ref_assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> GeneratedInstance:
+def ref_assemble_instance(blocks: list[Block], cfg: RefGenConfig,
+                          rng: Random) -> GeneratedInstance:
     """The first release's placement, kept verbatim as the reference for
     the one that skips trials that cannot win: every trial probes its
     cross edges and scores its merged maximum degree."""

@@ -127,6 +127,19 @@ def test_reduce_command(tmp_path, capsys):
     assert inst.capacity == 8
 
 
+def test_reduce_command_sizes_nothing_by_sup(tmp_path, capsys):
+    # no subset of the demands sums past 5, so a huge sup must not size
+    # the subset-sum bitset
+    out = tmp_path / "r.json"
+    code, stdout, _ = run_cli(capsys, "reduce", "--sup", str(10**20),
+                              "--demands", "3,2", "--out", str(out))
+    assert code == 0
+    info = json.loads(stdout)
+    assert info["optimum"] == 8
+    assert info["capacity"] == 10**20 + 3
+    assert load_instance(out).known_optimum == 8
+
+
 def test_oracle_command(tmp_path, capsys):
     out = tmp_path / "r.json"
     run_cli(capsys, "reduce", "--sup", "4", "--demands", "2,3", "--out", str(out))

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest.mock import patch
 
 import pytest
 
@@ -7,7 +8,7 @@ from bcpart import (GenConfig, GenerationError, brute_force_optimum,
                     certificate_solution, disc_radius, generate_instance,
                     instance_to_json, is_biconnected, reduce_mpgsd_star,
                     verify_solution)
-from bcpart.generate import generate_block
+from bcpart.generate import GAMMA, generate_block
 from oracles import best_subset_sum
 
 
@@ -88,7 +89,7 @@ def test_cross_edge_minimum_per_block():
     # every block after the first joined with enough contact edges to all
     # previously placed blocks together
     for i in range(1, cfg.n):
-        need = max(3, math.ceil(cfg.gamma * internal[i]))
+        need = max(3, math.ceil(GAMMA * internal[i]))
         assert cross_before[i] >= need, f"block {i}: {cross_before[i]} < {need}"
 
 
@@ -139,11 +140,11 @@ def test_small_generated_instance_optimum_is_exact():
 
 
 def test_generation_budget_failure_raises():
-    cfg = GenConfig(n=2, capacity=30, alpha=2.0, seed=0, block_attempt_budget=1,
-                    max_batches_per_box=1)
+    cfg = GenConfig(n=2, capacity=30, alpha=2.0, seed=0)
     rng = random.Random(0)
-    with pytest.raises(GenerationError):
-        generate_block(cfg.capacity, cfg.n, cfg, rng)
+    with patch.multiple("bcpart.generate", BLOCK_ATTEMPT_BUDGET=1, MAX_BATCHES_PER_BOX=1):
+        with pytest.raises(GenerationError):
+            generate_block(cfg.capacity, cfg.n, cfg, rng)
 
 
 def test_gen_config_validation():
@@ -156,19 +157,13 @@ def test_gen_config_validation():
     for bad in (math.inf, -math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="alpha must be finite"):
             GenConfig(n=1, capacity=5, alpha=bad)
-        with pytest.raises(ValueError, match="delta must be finite"):
-            GenConfig(n=1, capacity=5, alpha=2.0, delta=bad)
-    # every integer field, seed included, must be an int (bools rejected),
-    # and gamma a finite number; these used to be accepted or to fail late
+    # every integer field, seed included, must be an int (bools rejected);
+    # these used to be accepted or to fail late
     wrong_types = [("capacity", 10.0), ("n", 2.0), ("seed", None), ("seed", 1.5),
-                   ("position_trials", True), ("block_attempt_budget", "9"),
-                   ("assembly_restarts", 2.0), ("max_batches_per_box", None)]
+                   ("n", True)]
     for name, value in wrong_types:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             GenConfig(**{"n": 1, "capacity": 5, "alpha": 2.0, name: value})
-    for bad in ("0.2", None, True, math.nan, math.inf):
-        with pytest.raises(ValueError, match="gamma must be (a number|finite)"):
-            GenConfig(n=1, capacity=5, alpha=2.0, gamma=bad)
 
 
 def test_reduction_example_values():

@@ -22,11 +22,17 @@ import oracles
 from bcpart import (GenConfig, GenerationError, biconnected_components, build_graph,
                     instance_to_json)
 from bcpart.graph import unit_disc_graph
-from oracles import (ref_assemble_instance, ref_biconnected, ref_generate_block,
-                     ref_trim_to_size)
+from oracles import (RefGenConfig, ref_assemble_instance, ref_biconnected,
+                     ref_generate_block, ref_trim_to_size)
 
 CASES = settings(max_examples=300, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
+
+
+def _knobs(**knobs):
+    """generate's module constants patched to `knobs`, which are named as
+    the fields of the references' config."""
+    return patch.multiple(gen, **{name.upper(): value for name, value in knobs.items()})
 
 
 def _generated(cfg, sample, assemble):
@@ -47,10 +53,12 @@ def _generated(cfg, sample, assemble):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), capacity=st.integers(3, 15),
        trials=st.integers(1, 60), alpha=st.sampled_from([1.5, 2.0, 3.0]))
 def test_generation_matches_reference(seed, n, capacity, trials, alpha):
-    cfg = GenConfig(n=n, capacity=capacity, alpha=alpha, position_trials=trials,
-                    seed=seed, block_attempt_budget=300)
-    assert (_generated(cfg, gen.generate_block, gen.assemble_instance)
-            == _generated(cfg, ref_generate_block, ref_assemble_instance))
+    knobs = dict(position_trials=trials, block_attempt_budget=300)
+    cfg = GenConfig(n=n, capacity=capacity, alpha=alpha, seed=seed)
+    ref_cfg = RefGenConfig(n=n, capacity=capacity, alpha=alpha, seed=seed, **knobs)
+    with _knobs(**knobs):
+        lib = _generated(cfg, gen.generate_block, gen.assemble_instance)
+    assert lib == _generated(ref_cfg, ref_generate_block, ref_assemble_instance)
 
 
 def _sampled(cfg, sample, module):
@@ -77,9 +85,12 @@ def _sampled(cfg, sample, module):
        alpha=st.sampled_from([1.0, 1.5, 2.0, 3.0]), delta=st.floats(1.0, 1.5),
        batches=st.integers(1, 16), budget=st.integers(1, 40))
 def test_block_matches_reference(seed, n, capacity, alpha, delta, batches, budget):
-    cfg = GenConfig(n=n, capacity=capacity, alpha=alpha, delta=delta, seed=seed,
-                    block_attempt_budget=budget, max_batches_per_box=batches)
-    assert _sampled(cfg, gen.generate_block, gen) == _sampled(cfg, ref_generate_block, oracles)
+    knobs = dict(delta=delta, block_attempt_budget=budget, max_batches_per_box=batches)
+    cfg = GenConfig(n=n, capacity=capacity, alpha=alpha, seed=seed)
+    ref_cfg = RefGenConfig(n=n, capacity=capacity, alpha=alpha, seed=seed, **knobs)
+    with _knobs(**knobs):
+        lib = _sampled(cfg, gen.generate_block, gen)
+    assert lib == _sampled(ref_cfg, ref_generate_block, oracles)
 
 
 def _disc_components(seed, count, radius):
@@ -120,7 +131,7 @@ def test_neighbour_verdict_is_exact_and_covers_bi_connected_neighbours(seed, cou
         for v in sorted(comp):
             rest = comp - {v}
             near = rest.intersection(g.adjacency[v])
-            verdict = gen._neighbour_verdict(g, rest, v)
+            verdict = gen._neighbour_walk(g, rest, v)[0]
             if verdict is not None:
                 assert verdict == ref_biconnected(g, rest), (sorted(comp), v)
             if (len(near) >= 3 and ref_biconnected(g, near)
@@ -151,7 +162,7 @@ def test_separator_is_exact(seed, count, scale):
             continue
         for v in sorted(comp):
             rest = comp - {v}
-            verdict = gen._neighbour_verdict(g, rest, v)
+            verdict = gen._neighbour_walk(g, rest, v)[0]
             pair = gen._separator(g, rest, v)
             if verdict is None:
                 assert (pair is None) == ref_biconnected(g, rest), (sorted(comp), v)

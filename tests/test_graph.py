@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcpart import (Instance, articulation_points, biconnected_components,
-                    build_graph, disc_radius, instance_from_json,
-                    instance_to_json, is_biconnected, unit_disc_graph)
-from oracles import (connected, random_graph, ref_articulation_points,
-                     ref_biconnected, two_disjoint_paths)
+from bcpart import (Instance, biconnected_components, build_graph, disc_radius,
+                    instance_from_json, instance_to_json, is_biconnected,
+                    unit_disc_graph)
+from oracles import random_graph, ref_biconnected, two_disjoint_paths
 
 
 def cycle_graph(n):
@@ -86,35 +85,6 @@ def test_adjacency_symmetry():
                 assert u in g.adjacency[v]
 
 
-def test_articulation_path_middle():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    assert articulation_points(g, range(3)) == {1}
-
-
-def test_articulation_cycle_empty():
-    g = cycle_graph(4)
-    assert articulation_points(g, range(4)) == set()
-
-
-def test_articulation_bowtie_center():
-    # two triangles sharing node 2
-    g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    assert articulation_points(g, range(5)) == {2}
-
-
-def test_articulation_empty_input():
-    g = cycle_graph(4)
-    assert articulation_points(g, []) == set()
-
-
-def test_articulation_matches_reference():
-    for seed in range(150):
-        rng = random.Random(seed)
-        g = random_graph(rng, rng.randint(3, 11), rng.uniform(0.2, 0.6))
-        nodes = [u for u in range(g.node_count) if rng.random() < 0.85]
-        assert articulation_points(g, nodes) == ref_articulation_points(g, nodes)
-
-
 def test_is_biconnected_conventions():
     g = cycle_graph(5)
     assert is_biconnected(g, range(5))
@@ -148,7 +118,7 @@ def test_biconnectivity_equals_two_disjoint_paths():
         n = rng.randint(3, 8)
         g = random_graph(rng, n, rng.uniform(0.3, 0.7))
         nodes = set(range(n))
-        lib = connected(g.adjacency, nodes) and not articulation_points(g, nodes)
+        lib = is_biconnected(g, nodes)
         pairs_ok = all(
             two_disjoint_paths(g, nodes, s, t)
             for s in range(n) for t in range(s + 1, n)
@@ -198,7 +168,6 @@ def assert_block_functions_match_networkx(g, nodes):
     # the library's conventions: 0 nodes no, 1 node yes, 2 nodes never
     expected = len(nodes) == 1 if len(nodes) < 3 else nx.is_biconnected(ref)
     assert is_biconnected(g, nodes) == expected
-    assert articulation_points(g, nodes) == set(nx.articulation_points(ref))
     assert (sorted(sorted(c) for c in biconnected_components(g, nodes))
             == sorted(sorted(c) for c in nx.biconnected_components(ref)))
 
@@ -228,7 +197,7 @@ def test_block_functions_match_networkx_on_disc_subsets(seed, count, radius, kee
 @pytest.mark.parametrize("nodes, named", [([0, 4], 4), ([-1, 2], -1), ([7], 7)])
 def test_block_functions_reject_nodes_outside_the_graph(nodes, named):
     g = cycle_graph(4)
-    for fn in (articulation_points, is_biconnected, biconnected_components):
+    for fn in (is_biconnected, biconnected_components):
         with pytest.raises(ValueError, match=f"node {named} not in graph"):
             fn(g, nodes)
 

@@ -8,7 +8,7 @@ import bcpart.growth as growth
 import bcpart.solver as solver
 from bcpart import (GROW_N, GROW_R, GenConfig, SolverConfig, build_graph, generate_instance,
                     generate_solution, grow, init_growth, is_biconnected, local_search)
-from bcpart.growth import INF, try_make_ear
+from bcpart.growth import INF
 from oracles import exact_hop_layers, random_biconnected_graph, random_graph
 
 
@@ -111,7 +111,6 @@ def test_try_make_ear_same_root_rejected():
     while grow(st, rng):  # no ear is admissible: roots collide
         pass
     assert st.ear_root[2] == 1 and st.ear_root[3] == 1
-    assert try_make_ear(st, 2, 3) is None
     assert st.members == [0]
 
 
