@@ -30,15 +30,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
-from .generate import GenConfig, GenerationError, generate_instance
+from .generate import MAX_NODES, GenConfig, GenerationError, generate_instance
 from .graph import check_finite, check_type
 from .local_search import GROW_N, GROW_R, local_search
 from .solver import SolverConfig
 
 _MODE_LETTER = {GROW_R: "R", GROW_N: "N"}
 _SPEC_KEYS = ("pairs", "alpha", "instancesPerPair", "baseSeed", "modes", "config")
-# ten times the paper's largest instance (100 x 100 nodes)
-MAX_PAIR_NODES = 100_000
 MAX_INSTANCES_PER_PAIR = 10_000
 
 CSV_HEADER = ("n,M,alpha,mode,avgErrPct,stdevErrPct,maxErrPct,"
@@ -110,7 +108,7 @@ def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list
     """Execute a bench spec; returns rows in (pair, mode) order.
 
     An unknown key, a spec field of the wrong type, an unknown mode, a
-    pair of more than MAX_PAIR_NODES nodes (n * M), instancesPerPair
+    pair of more than MAX_NODES nodes (n * M), instancesPerPair
     outside [1, MAX_INSTANCES_PER_PAIR] or workers < 1 raises ValueError
     before any instance is generated.  The process pool never gets more
     workers than there are instances or cores.
@@ -125,8 +123,8 @@ def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"pair {pair!r} must be a pair [n, M]")
         pairs.append((check_type(pair[0], int, "pair n"), check_type(pair[1], int, "pair M")))
-        if pairs[-1][0] * pairs[-1][1] > MAX_PAIR_NODES:
-            raise ValueError(f"pair {pair!r} has more than {MAX_PAIR_NODES} nodes")
+        if pairs[-1][0] * pairs[-1][1] > MAX_NODES:
+            raise ValueError(f"pair {pair!r} has more than {MAX_NODES} nodes")
     alpha = float(check_finite(spec.get("alpha", 2.0), "alpha"))
     count = check_type(spec.get("instancesPerPair", 10), int, "instancesPerPair")
     if not 1 <= count <= MAX_INSTANCES_PER_PAIR:

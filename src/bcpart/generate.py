@@ -41,6 +41,9 @@ POSITION_TRIALS = 1000          # candidate translations per block
 BLOCK_ATTEMPT_BUDGET = 100_000  # point batches per block
 ASSEMBLY_RESTARTS = 20          # placement passes before giving up
 MAX_BATCHES_PER_BOX = 16        # point batches per sampling box
+# ten times the paper's largest instance (100 x 100 nodes); bounds the
+# reduction's node count and, in bcpart.bench, a spec's n * M
+MAX_NODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,13 @@ class Block:
 class GeneratedInstance:
     instance: Instance
     block_membership: tuple[int, ...]
+
+
+def _inverse_cell_width(d: float) -> float:
+    """1 / the width of grid cells a little wider than the disc radius d:
+    even after float rounding, two points within d of each other lie in
+    the same or adjacent cells."""
+    return 1.0 / (d * (1.0 + 1e-9))
 
 
 def _boundary_points(bw: float, bh: float, per_edge: int, rng: Random):
@@ -268,9 +278,7 @@ def generate_block(capacity: int, n: int, cfg: GenConfig, rng: Random) -> Block:
     """
     d = disc_radius(cfg.alpha, n, capacity)
     d2 = d * d
-    # grid cells a little wider than d: even after float rounding, two
-    # points within d of each other lie in the same or adjacent cells
-    inv = 1.0 / (d * (1.0 + 1e-9))
+    inv = _inverse_cell_width(d)
     batch_size = math.ceil(capacity * DELTA)
     attempts = 0
     while attempts < BLOCK_ATTEMPT_BUDGET:
@@ -337,10 +345,10 @@ def generate_block(capacity: int, n: int, cfg: GenConfig, rng: Random) -> Block:
         f"{BLOCK_ATTEMPT_BUDGET} sampling batches (alpha={cfg.alpha}, n={n})")
 
 
-def _probe_cross(coords_abs, grid, pts, d2):
-    """All (local_index, placed_index) pairs within disc radius."""
+def _probe_cross(coords_abs, grid, pts, d2, inv):
+    """All (local_index, placed_index) pairs within disc radius, with the
+    placed points `pts` keyed in `grid` by cell (int(x * inv), int(y * inv))."""
     pairs = []
-    inv = 1.0 / math.sqrt(d2)
     for li, (x, y) in enumerate(coords_abs):
         gx = int(x * inv)
         gy = int(y * inv)
@@ -358,6 +366,16 @@ def _probe_cross(coords_abs, grid, pts, d2):
     return pairs
 
 
+def _may_touch(grid, inv, tx, ty, box) -> bool:
+    """Whether any cell that `_probe_cross` visits for a block with
+    bounding box `box`, translated by (tx, ty), holds a placed point."""
+    bw, bh = box
+    rows = range(int(ty * inv) - 1, int((ty + bh) * inv) + 2)
+    return any((cx, cy) in grid
+               for cx in range(int(tx * inv) - 1, int((tx + bw) * inv) + 2)
+               for cy in rows)
+
+
 def assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> GeneratedInstance:
     """Translate blocks into the unit square and fuse them into one instance.
 
@@ -368,10 +386,22 @@ def assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> Gener
     degree of the placed graph or of the block, so once a qualifying one
     reaches that floor the remaining trials only draw their position.
     Node ids are randomly permuted at the end.
+
+    Placed points are keyed in a grid of `generate_block`'s cells, a
+    little wider than the disc radius, and a trial probes only the cells
+    around its points.  A trial is skipped before it is probed when no
+    cell it would visit holds a placed point (`_may_touch`).  The skip is
+    exact: block coordinates lie in [0, bw] x [0, bh], and float addition,
+    scaling by the inverse cell width and `int` are all monotone, so the
+    probe visits only cells in [c(tx) - 1, c(tx + bw) + 1] x [c(ty) - 1,
+    c(ty + bh) + 1], with c(x) = int(x * inv).  With all of those empty
+    the probe finds no pair, fewer than the 3 or more cross edges needed,
+    and the trial has made its two draws either way.
     """
     d = disc_radius(cfg.alpha, cfg.n, cfg.capacity)
     d2 = d * d
-    inv = 1.0 / d
+    inv = _inverse_cell_width(d)
+    rnd = rng.random
     for _ in range(ASSEMBLY_RESTARTS):
         pts: list[tuple[float, float]] = []
         degrees: list[int] = []
@@ -383,23 +413,27 @@ def assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> Gener
         ok = True
         for bi, block in enumerate(blocks):
             bw, bh = block.box
+            # sx * rnd() is rng.uniform(0.0, sx), draw for draw
+            sx, sy = 1.0 - bw, 1.0 - bh
             block_deg = [block.graph.degree(i) for i in range(len(block.coords))]
             placed = None
             if bi == 0:
-                tx = rng.uniform(0.0, 1.0 - bw)
-                ty = rng.uniform(0.0, 1.0 - bh)
+                tx = sx * rnd()
+                ty = sy * rnd()
                 placed = (tx, ty, [])
             else:
                 min_con = max(3, math.ceil(GAMMA * block.graph.edge_count()))
                 best = None
                 floor = max(global_max_deg, max(block_deg))
                 for _ in range(POSITION_TRIALS):
-                    tx = rng.uniform(0.0, 1.0 - bw)
-                    ty = rng.uniform(0.0, 1.0 - bh)
+                    tx = sx * rnd()
+                    ty = sy * rnd()
                     if best is not None and best[0] == floor:
                         continue
+                    if not _may_touch(grid, inv, tx, ty, block.box):
+                        continue
                     abs_coords = [(x + tx, y + ty) for x, y in block.coords]
-                    cross = _probe_cross(abs_coords, grid, pts, d2)
+                    cross = _probe_cross(abs_coords, grid, pts, d2, inv)
                     if len(cross) < min_con:
                         continue
                     touched: dict[int, int] = {}
@@ -490,13 +524,16 @@ def reduce_mpgsd_star(sup: int, demands) -> Instance:
     subgraph around the root must take both hubs and any set of complete
     demand paths, so with capacity sup + 3 the best objective is
     3 + (largest demand subset summing to at most sup), or 1 when no
-    demand fits.
+    demand fits.  More than MAX_NODES nodes raise ValueError before any
+    edge is built.
     """
     demands = [int(x) for x in demands]
     if sup < 1:
         raise ValueError("sup must be >= 1")
     if not demands or any(x < 1 for x in demands):
         raise ValueError("demands must be positive integers")
+    if 3 + sum(demands) > MAX_NODES:
+        raise ValueError(f"the reduction would have more than {MAX_NODES} nodes")
     edges = [(0, 1), (0, 2)]
     next_id = 3
     for dval in demands:

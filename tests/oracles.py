@@ -8,7 +8,7 @@ its Ear-building ear builder) and
 parallel construction in their build-before-draw, prune-every-sibling form,
 the local search in its copy-every-candidate, rebuild-every-accept form,
 the generator's block trim and placement in their recheck-every-removal,
-probe-every-trial form, and its block sampler in its every-pair edge update
+probe-every-trial form (with the first release's cross-edge probe), and its block sampler in its every-pair edge update
 form on the dict-based low-link walker.
 Slow is fine; these only run on small inputs.
 """
@@ -23,8 +23,7 @@ from itertools import product
 
 from bcpart import GROW_N, GROW_R, Instance, Solution, build_graph
 from bcpart.local_search import SearchStats, select_regrow_set
-from bcpart.generate import (Block, GeneratedInstance, GenerationError, _boundary_points,
-                             _probe_cross)
+from bcpart.generate import Block, GeneratedInstance, GenerationError, _boundary_points
 from bcpart.graph import disc_radius, unit_disc_graph
 from bcpart.growth import INF, init_growth, update_bfs_tree_delete
 
@@ -733,6 +732,27 @@ def ref_trim_to_size(g: Graph, nodes: set[int], target: int, coords) -> set[int]
     return nodes
 
 
+def ref_probe_cross(coords_abs, grid, pts, d2):
+    """All (local_index, placed_index) pairs within disc radius."""
+    pairs = []
+    inv = 1.0 / math.sqrt(d2)
+    for li, (x, y) in enumerate(coords_abs):
+        gx = int(x * inv)
+        gy = int(y * inv)
+        for cx in (gx - 1, gx, gx + 1):
+            for cy in (gy - 1, gy, gy + 1):
+                bucket = grid.get((cx, cy))
+                if not bucket:
+                    continue
+                for j in bucket:
+                    ox, oy = pts[j]
+                    dx = x - ox
+                    dy = y - oy
+                    if dx * dx + dy * dy <= d2:
+                        pairs.append((li, j))
+    return pairs
+
+
 def ref_assemble_instance(blocks: list[Block], cfg: RefGenConfig,
                           rng: Random) -> GeneratedInstance:
     """The first release's placement, kept verbatim as the reference for
@@ -765,7 +785,7 @@ def ref_assemble_instance(blocks: list[Block], cfg: RefGenConfig,
                     tx = rng.uniform(0.0, 1.0 - bw)
                     ty = rng.uniform(0.0, 1.0 - bh)
                     abs_coords = [(x + tx, y + ty) for x, y in block.coords]
-                    cross = _probe_cross(abs_coords, grid, pts, d2)
+                    cross = ref_probe_cross(abs_coords, grid, pts, d2)
                     if len(cross) < min_con:
                         continue
                     touched: dict[int, int] = {}

@@ -140,6 +140,17 @@ def test_reduce_command_sizes_nothing_by_sup(tmp_path, capsys):
     assert load_instance(out).known_optimum == 8
 
 
+def test_reduce_command_rejects_more_than_max_nodes(tmp_path, capsys):
+    # 3 + 100,001 nodes: refused before any edge is built
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run_cli(capsys, "reduce", "--sup", "5",
+                                   "--demands", "100001", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert "100000 nodes" in json.loads(stderr)["error"]
+    assert not out.exists()
+
+
 def test_oracle_command(tmp_path, capsys):
     out = tmp_path / "r.json"
     run_cli(capsys, "reduce", "--sup", "4", "--demands", "2,3", "--out", str(out))

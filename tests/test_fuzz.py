@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bcpart import instance_from_json, run_bench, solution_from_json
-from bcpart.bench import MAX_INSTANCES_PER_PAIR, MAX_PAIR_NODES
+from bcpart.bench import MAX_INSTANCES_PER_PAIR, MAX_NODES
 from bcpart.cli import main
 
 TRIANGLE = {"nodes": [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 1.0, "y": 0.0},
@@ -214,7 +214,7 @@ oversized_specs = (
     st.integers(MAX_INSTANCES_PER_PAIR + 1, 2**63).map(
         lambda count: {**SPEC, "instancesPerPair": count})
     | st.tuples(st.integers(1, 2**63), st.integers(1, 2**63))
-    .filter(lambda pair: pair[0] * pair[1] > MAX_PAIR_NODES)
+    .filter(lambda pair: pair[0] * pair[1] > MAX_NODES)
     .map(lambda pair: {**SPEC, "pairs": [[2, 3], list(pair)]}))
 
 

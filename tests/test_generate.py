@@ -214,3 +214,5 @@ def test_reduction_validation():
         reduce_mpgsd_star(3, [])
     with pytest.raises(ValueError):
         reduce_mpgsd_star(3, [0])
+    with pytest.raises(ValueError, match="more than 100000 nodes"):
+        reduce_mpgsd_star(3, [50_000, 49_998])

@@ -7,7 +7,9 @@ remembered separation pairs against the definition of bi-connectivity.
 The block sampler is compared alone, down to the edge lists it builds its
 graphs from, and the whole generator, draws included, is compared by
 running it once with the library's functions and once with the references.
-The references run on their own copy of the low-link walker.
+The references run on their own copy of the low-link walker and of the
+first release's cross-edge probe.  The placement's skip of trials that
+cannot touch the placed graph is checked against an every-pair search.
 """
 
 import math
@@ -197,3 +199,63 @@ def test_refusals_from_memory_are_exact(seed, count, scale, data):
         gen._trim_to_size(g, comp, target, pts)
     for rest, v in refused:
         assert not ref_biconnected(g, rest), (sorted(comp), target, v)
+
+
+def _edge_coord(inv):
+    """A coordinate on a cell edge k / inv, moved off it by up to 3 ulps
+    or by a relative amount up to the cells' 1e-9 widening."""
+    def nudged(k, ulps, rel):
+        x = k / inv * (1.0 + rel)
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        return x
+    return st.builds(nudged, st.integers(0, int(inv) + 1), st.integers(-3, 3),
+                     st.just(0.0) | st.floats(-2e-9, 2e-9))
+
+
+def _coord(inv):
+    return st.floats(0.0, 1.0) | _edge_coord(inv)
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(d=st.floats(0.004, 0.25), data=st.data())
+def test_placement_skip_is_exact(d, data):
+    # placed points keyed as assemble_instance keys them, a renormalized
+    # block and a translation, some aimed to put a block point about d
+    # from a placed point: the probe finds exactly the pairs within d, and
+    # none at all when _may_touch skips the trial
+    inv = gen._inverse_cell_width(d)
+    pts = data.draw(st.lists(st.tuples(_coord(inv), _coord(inv)), max_size=30))
+    grid = {}
+    for j, (x, y) in enumerate(pts):
+        grid.setdefault((int(x * inv), int(y * inv)), []).append(j)
+    span = data.draw(st.floats(0.0, 0.4))
+    raw = data.draw(st.lists(st.tuples(st.floats(0.0, span), st.floats(0.0, span)),
+                             min_size=1, max_size=10))
+    min_x = min(x for x, _ in raw)
+    min_y = min(y for _, y in raw)
+    coords = [(x - min_x, y - min_y) for x, y in raw]
+    box = (max(x for x, _ in coords), max(y for _, y in coords))
+    if pts and data.draw(st.booleans()):
+        px, py = data.draw(st.sampled_from(pts))
+        bx, by = data.draw(st.sampled_from(coords))
+        angle = data.draw(st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+                          | st.floats(0.0, 2 * math.pi))
+        r = d * (1.0 - data.draw(st.sampled_from([0.0, 1e-15, 1e-9, -1e-15])
+                                 | st.floats(-1e-8, 0.5)))
+        tx, ty = px + r * math.cos(angle) - bx, py + r * math.sin(angle) - by
+    else:
+        tx = data.draw(_coord(inv).map(lambda x: x * (1.0 - box[0])) | _edge_coord(inv))
+        ty = data.draw(_coord(inv).map(lambda y: y * (1.0 - box[1])) | _edge_coord(inv))
+    abs_coords = [(x + tx, y + ty) for x, y in coords]
+    d2 = d * d
+    within = set()
+    for li, (x, y) in enumerate(abs_coords):
+        for j, (ox, oy) in enumerate(pts):
+            dx, dy = x - ox, y - oy
+            if dx * dx + dy * dy <= d2:
+                within.add((li, j))
+    cross = gen._probe_cross(abs_coords, grid, pts, d2, inv)
+    assert sorted(cross) == sorted(within)
+    if not gen._may_touch(grid, inv, tx, ty, box):
+        assert cross == []

@@ -62,6 +62,10 @@ CASES = {
     # the second generate-m100 instance: ten 100-node blocks, the block
     # sampler's grid and the trim's neighbour test at the paper's capacity
     "instance-10x100-a2.0-s1": lambda: instance_to_json(_instance(10, 100, 2.0, 1)),
+    # the set-up instances of the solve-25x10 and search-100x30 benchmarks,
+    # placement-heavy at small M
+    "instance-25x10-a2.0-s300": lambda: instance_to_json(_instance(25, 10, 2.0, 300)),
+    "instance-100x30-a2.0-s42": lambda: instance_to_json(_instance(100, 30, 2.0, 42)),
     "single-pass-5x10-seed3": lambda: _single_pass(3),
     "grow-r-5x10-default-seed1": lambda: _search((5, 10, 2.0, 0), GROW_R, SolverConfig(seed=1)),
     "grow-n-5x10-default-seed1": lambda: _search((5, 10, 2.0, 0), GROW_N, SolverConfig(seed=1)),
@@ -100,6 +104,10 @@ GOLDEN = {
         "e62f4a862111eec490fe07ef93e456bf396f72d88c247eb99097f2007cd90164",
     "instance-10x100-a2.0-s1":
         "a3bac65e4b843ce2bcc78603ea41519961a8a14f9a253f126f607561a43d604a",
+    "instance-100x30-a2.0-s42":
+        "35dc892f7cacb59f15a25fdf1de2a237631926816f6932155ee24d44215696e3",
+    "instance-25x10-a2.0-s300":
+        "e4141a6bc9219632d0bdb3a542b72488c761a2d04ddd0651bd6064cd4e9a096d",
     "instance-2x60-a2.0-s5":
         "228dd1eee72a19cb3dd91a19686aa857ce279e4edfa8ea458aaf10c83540725e",
     "instance-30x20-a2.0-s7":
