@@ -30,7 +30,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
-from .generate import MAX_NODES, GenConfig, GenerationError, generate_instance
+from .generate import GenConfig, GenerationError, generate_instance
 from .graph import check_finite, check_type
 from .local_search import GROW_N, GROW_R, local_search
 from .solver import SolverConfig
@@ -87,15 +87,16 @@ def _run_one(job) -> list[tuple] | None:
     """Generate one instance and solve it in every mode: one
     (err_pct, iteration_of_best, wall_millis) per mode, or None when
     generation fails."""
-    n, capacity, alpha, seed, modes, base_config = job
+    gen_config, modes, base_config = job
     try:
-        gen = generate_instance(GenConfig(n=n, capacity=capacity, alpha=alpha, seed=seed))
+        gen = generate_instance(gen_config)
     except GenerationError as exc:
-        print(f"skip n={n} M={capacity} seed={seed}: {exc}", file=sys.stderr)
+        print(f"skip n={gen_config.n} M={gen_config.capacity} seed={gen_config.seed}: "
+              f"{exc}", file=sys.stderr)
         return None
     instance = gen.instance
     opt = instance.known_optimum
-    config = replace(base_config, seed=seed)
+    config = replace(base_config, seed=gen_config.seed)
     results = []
     for mode in modes:
         best, stats = local_search(instance, config, mode)
@@ -108,24 +109,22 @@ def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list
     """Execute a bench spec; returns rows in (pair, mode) order.
 
     An unknown key, a spec field of the wrong type, an unknown mode, a
-    pair of more than MAX_NODES nodes (n * M), instancesPerPair
-    outside [1, MAX_INSTANCES_PER_PAIR] or workers < 1 raises ValueError
-    before any instance is generated.  The process pool never gets more
-    workers than there are instances or cores.
+    pair that GenConfig refuses (more than MAX_NODES nodes, for one),
+    instancesPerPair outside [1, MAX_INSTANCES_PER_PAIR] or workers < 1
+    raises ValueError before any instance is generated.  The process pool
+    never gets more workers than there are instances or cores.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     for key in check_type(spec, dict, "bench spec"):
         if key not in _SPEC_KEYS:
             raise ValueError(f"unknown bench spec key {key!r}")
+    alpha = float(check_finite(spec.get("alpha", 2.0), "alpha"))
     pairs = []
     for pair in check_type(spec.get("pairs"), list, "pairs"):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"pair {pair!r} must be a pair [n, M]")
-        pairs.append((check_type(pair[0], int, "pair n"), check_type(pair[1], int, "pair M")))
-        if pairs[-1][0] * pairs[-1][1] > MAX_NODES:
-            raise ValueError(f"pair {pair!r} has more than {MAX_NODES} nodes")
-    alpha = float(check_finite(spec.get("alpha", 2.0), "alpha"))
+        pairs.append(GenConfig(n=pair[0], capacity=pair[1], alpha=alpha))
     count = check_type(spec.get("instancesPerPair", 10), int, "instancesPerPair")
     if not 1 <= count <= MAX_INSTANCES_PER_PAIR:
         raise ValueError(f"instancesPerPair must be in [1, {MAX_INSTANCES_PER_PAIR}]")
@@ -135,8 +134,8 @@ def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list
         if check_type(mode, str, "mode") not in _MODE_LETTER:
             raise ValueError(f"unknown mode in bench spec: {mode}")
     config = _config_from_spec(check_type(spec.get("config", {}), dict, "config"))
-    jobs = [(n, capacity, alpha, base_seed + idx, modes, config)
-            for n, capacity in pairs for idx in range(count)]
+    jobs = [(replace(pair, seed=base_seed + idx), modes, config)
+            for pair in pairs for idx in range(count)]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as executor:
@@ -144,7 +143,8 @@ def run_bench(spec: dict, workers: int = 1, include_timing: bool = True) -> list
     else:
         results = [_run_one(job) for job in jobs]
     rows: list[BenchRow] = []
-    for p, (n, capacity) in enumerate(pairs):
+    for p, pair in enumerate(pairs):
+        n, capacity = pair.n, pair.capacity
         solved = [r for r in results[p * count:(p + 1) * count] if r is not None]
         for mode_idx, mode in enumerate(modes):
             chunk = [r[mode_idx] for r in solved]

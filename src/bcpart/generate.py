@@ -41,16 +41,16 @@ POSITION_TRIALS = 1000          # candidate translations per block
 BLOCK_ATTEMPT_BUDGET = 100_000  # point batches per block
 ASSEMBLY_RESTARTS = 20          # placement passes before giving up
 MAX_BATCHES_PER_BOX = 16        # point batches per sampling box
-# ten times the paper's largest instance (100 x 100 nodes); bounds the
-# reduction's node count and, in bcpart.bench, a spec's n * M
+# ten times the paper's largest instance (100 x 100 nodes); bounds a
+# generated instance's n * M and the reduction's node count
 MAX_NODES = 100_000
 
 
 @dataclass(frozen=True)
 class GenConfig:
     """What a generated instance depends on besides the module constants
-    above: n blocks of `capacity` nodes, the disc radius's `alpha` and
-    the RNG seed."""
+    above: n blocks of `capacity` nodes, at most MAX_NODES in all, the
+    disc radius's `alpha` and the RNG seed."""
 
     n: int                       # number of blocks / subgraphs
     capacity: int                # block size M
@@ -65,6 +65,8 @@ class GenConfig:
             raise ValueError("n must be >= 1")
         if self.capacity < 3:
             raise ValueError("capacity must be >= 3 (blocks need a cycle)")
+        if self.n * self.capacity > MAX_NODES:
+            raise ValueError(f"n * capacity must be at most {MAX_NODES} nodes")
         if check_finite(self.alpha, "alpha") <= 0:
             raise ValueError("alpha must be positive")
 
@@ -92,6 +94,23 @@ def _inverse_cell_width(d: float) -> float:
     return 1.0 / (d * (1.0 + 1e-9))
 
 
+def _near(grid, pts, x, y, d2, inv) -> list[int]:
+    """Indices of the points `pts`, keyed in `grid` by cell (int(x * inv),
+    int(y * inv)), that lie within d of (x, y): d2 = d * d, and all of
+    them are in the 3x3 cells around (x, y)."""
+    gx, gy = int(x * inv), int(y * inv)
+    near = []
+    for cx in (gx - 1, gx, gx + 1):
+        for cy in (gy - 1, gy, gy + 1):
+            for j in grid.get((cx, cy), ()):
+                ox, oy = pts[j]
+                dx = x - ox
+                dy = y - oy
+                if dx * dx + dy * dy <= d2:
+                    near.append(j)
+    return near
+
+
 def _boundary_points(bw: float, bh: float, per_edge: int, rng: Random):
     """Random points pinned to each side of the box, bottom/top/left/right."""
     pts = []
@@ -104,28 +123,6 @@ def _boundary_points(bw: float, bh: float, per_edge: int, rng: Random):
     for _ in range(per_edge):
         pts.append((bw, rng.uniform(0.0, bh)))
     return pts
-
-
-def _neighbour_walk(g: Graph, nodes: set[int], v: int):
-    """Whether S - v = `nodes` is bi-connected, read off v's neighbours
-    alone (see `_trim_to_size`), with what the test saw: (True, None);
-    (False, (w, ring)) for a neighbour w left with the ring of fewer than
-    2 neighbours in S - v; or (None, (near, blocks)) when they cannot
-    tell, with every block of T as the walk yielded it."""
-    adj = g.adjacency
-    near = nodes.intersection(adj[v])
-    rings = []
-    for w in near:
-        ring = nodes.intersection(adj[w])
-        if len(ring) < 2:
-            return False, (w, ring)
-        rings.append(ring)
-    blocks = []
-    for found in _blocks(g, near.union(*rings), near):
-        if near.issubset(found[2]):
-            return True, None
-        blocks.append(found)
-    return None, (near, blocks)
 
 
 def _smaller_side(nodes: set[int], u: int, side) -> set[int]:
@@ -161,14 +158,23 @@ def _separator(g: Graph, nodes: set[int], v: int):
     """None when S - v = `nodes` is bi-connected, else (u, A) for a
     separation pair {v, u} of S and the smaller side A of S - v - u
     (see `_trim_to_size`)."""
-    verdict, found = _neighbour_walk(g, nodes, v)
-    if verdict:
-        return None
-    if verdict is False:
-        w, (u,) = found  # w's only other neighbour u cuts it off
-        return u, {w}
-    near, blocks = found
+    adj = g.adjacency
+    near = nodes.intersection(adj[v])
+    rings = []
+    for w in near:
+        ring = nodes.intersection(adj[w])
+        if len(ring) < 2:
+            (u,) = ring  # w's only other neighbour u cuts it off
+            return u, {w}
+        rings.append(ring)
+    # near inside one block of T, near plus its neighbours in S - v, accepts
+    blocks = []
+    for found in _blocks(g, near.union(*rings), near):
+        if near.issubset(found[2]):
+            return None
+        blocks.append(found)
     if len({root for root, _p, _block in blocks}) > 1:
+        # near split across T's components: recheck S - v whole
         if is_biconnected(g, nodes):
             return None
         _root, u, block = next(_blocks(g, nodes, (next(iter(nodes)),)))
@@ -182,7 +188,6 @@ def _separator(g: Graph, nodes: set[int], v: int):
         held = sum((x in near) + below.get(x, 0) for x in block[:-1])
         below[p] = below.get(p, 0) + held
         branches.setdefault(p, []).append(held)
-    adj = g.adjacency
     for u, held in branches.items():
         rest = len(near) - (u in near) - below[u]
         if sum(1 for h in held if h) + (rest > 0) >= 2:
@@ -304,20 +309,9 @@ def generate_block(capacity: int, n: int, cfg: GenConfig, rng: Random) -> Block:
             # the neighbour order that ties between equal blocks follow
             for x, y in fresh:
                 gi = len(pts)
-                gx, gy = int(x * inv), int(y * inv)
-                near = []
-                for cx in (gx - 1, gx, gx + 1):
-                    for cy in (gy - 1, gy, gy + 1):
-                        for j in grid.get((cx, cy), ()):
-                            ox, oy = pts[j]
-                            dx = x - ox
-                            dy = y - oy
-                            if dx * dx + dy * dy <= d2:
-                                near.append(j)
-                near.sort()
-                edges.extend((j, gi) for j in near)
+                edges.extend((j, gi) for j in sorted(_near(grid, pts, x, y, d2, inv)))
                 pts.append((x, y))
-                grid.setdefault((gx, gy), []).append(gi)
+                grid.setdefault((int(x * inv), int(y * inv)), []).append(gi)
             g = build_graph(len(pts), edges)
             comps = biconnected_components(g)
             big = [c for c in comps if len(c) >= capacity]
@@ -345,29 +339,8 @@ def generate_block(capacity: int, n: int, cfg: GenConfig, rng: Random) -> Block:
         f"{BLOCK_ATTEMPT_BUDGET} sampling batches (alpha={cfg.alpha}, n={n})")
 
 
-def _probe_cross(coords_abs, grid, pts, d2, inv):
-    """All (local_index, placed_index) pairs within disc radius, with the
-    placed points `pts` keyed in `grid` by cell (int(x * inv), int(y * inv))."""
-    pairs = []
-    for li, (x, y) in enumerate(coords_abs):
-        gx = int(x * inv)
-        gy = int(y * inv)
-        for cx in (gx - 1, gx, gx + 1):
-            for cy in (gy - 1, gy, gy + 1):
-                bucket = grid.get((cx, cy))
-                if not bucket:
-                    continue
-                for j in bucket:
-                    ox, oy = pts[j]
-                    dx = x - ox
-                    dy = y - oy
-                    if dx * dx + dy * dy <= d2:
-                        pairs.append((li, j))
-    return pairs
-
-
 def _may_touch(grid, inv, tx, ty, box) -> bool:
-    """Whether any cell that `_probe_cross` visits for a block with
+    """Whether any cell that `_near` visits for a point of a block with
     bounding box `box`, translated by (tx, ty), holds a placed point."""
     bw, bh = box
     rows = range(int(ty * inv) - 1, int((ty + bh) * inv) + 2)
@@ -388,9 +361,10 @@ def assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> Gener
     Node ids are randomly permuted at the end.
 
     Placed points are keyed in a grid of `generate_block`'s cells, a
-    little wider than the disc radius, and a trial probes only the cells
-    around its points.  A trial is skipped before it is probed when no
-    cell it would visit holds a placed point (`_may_touch`).  The skip is
+    little wider than the disc radius, and a trial probes each of its
+    points with `_near`, which visits only the 3x3 cells around it.  A
+    trial is skipped before it is probed when no cell it would visit holds
+    a placed point (`_may_touch`).  The skip is
     exact: block coordinates lie in [0, bw] x [0, bh], and float addition,
     scaling by the inverse cell width and `int` are all monotone, so the
     probe visits only cells in [c(tx) - 1, c(tx + bw) + 1] x [c(ty) - 1,
@@ -402,64 +376,57 @@ def assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> Gener
     d2 = d * d
     inv = _inverse_cell_width(d)
     rnd = rng.random
+    membership = [bi for bi, block in enumerate(blocks) for _ in block.coords]
     for _ in range(ASSEMBLY_RESTARTS):
         pts: list[tuple[float, float]] = []
         degrees: list[int] = []
-        membership: list[int] = []
         edges: list[tuple[int, int]] = []
         roots_global: list[int] = []
         grid: dict[tuple[int, int], list[int]] = {}
         global_max_deg = 0
-        ok = True
         for bi, block in enumerate(blocks):
             bw, bh = block.box
             # sx * rnd() is rng.uniform(0.0, sx), draw for draw
             sx, sy = 1.0 - bw, 1.0 - bh
             block_deg = [block.graph.degree(i) for i in range(len(block.coords))]
-            placed = None
-            if bi == 0:
+            # best = (merged maximum degree, tx, ty, cross edges); the first
+            # block takes its one position, alone at its own maximum degree
+            floor = max(global_max_deg, max(block_deg))
+            best = (floor, sx * rnd(), sy * rnd(), []) if bi == 0 else None
+            min_con = max(3, math.ceil(GAMMA * block.graph.edge_count()))
+            for _ in range(POSITION_TRIALS if bi else 0):
                 tx = sx * rnd()
                 ty = sy * rnd()
-                placed = (tx, ty, [])
-            else:
-                min_con = max(3, math.ceil(GAMMA * block.graph.edge_count()))
-                best = None
-                floor = max(global_max_deg, max(block_deg))
-                for _ in range(POSITION_TRIALS):
-                    tx = sx * rnd()
-                    ty = sy * rnd()
-                    if best is not None and best[0] == floor:
-                        continue
-                    if not _may_touch(grid, inv, tx, ty, block.box):
-                        continue
-                    abs_coords = [(x + tx, y + ty) for x, y in block.coords]
-                    cross = _probe_cross(abs_coords, grid, pts, d2, inv)
-                    if len(cross) < min_con:
-                        continue
-                    touched: dict[int, int] = {}
-                    bcnt = [0] * len(block.coords)
-                    for li, gj in cross:
-                        touched[gj] = touched.get(gj, 0) + 1
-                        bcnt[li] += 1
-                    cand_max = max(
-                        global_max_deg,
-                        max(degrees[gj] + c for gj, c in touched.items()),
-                        max(block_deg[li] + bcnt[li]
-                            for li in range(len(block.coords))),
-                    )
-                    if best is None or cand_max < best[0]:
-                        best = (cand_max, tx, ty, cross)
-                if best is None:
-                    ok = False
-                    break
-                placed = (best[1], best[2], best[3])
-            tx, ty, cross = placed
+                if best is not None and best[0] == floor:
+                    continue
+                if not _may_touch(grid, inv, tx, ty, block.box):
+                    continue
+                cross = [(li, j) for li, (x, y) in enumerate(block.coords)
+                         for j in _near(grid, pts, x + tx, y + ty, d2, inv)]
+                if len(cross) < min_con:
+                    continue
+                touched: dict[int, int] = {}
+                bcnt = [0] * len(block.coords)
+                for li, gj in cross:
+                    touched[gj] = touched.get(gj, 0) + 1
+                    bcnt[li] += 1
+                cand_max = max(
+                    global_max_deg,
+                    max(degrees[gj] + c for gj, c in touched.items()),
+                    max(block_deg[li] + bcnt[li]
+                        for li in range(len(block.coords))),
+                )
+                if best is None or cand_max < best[0]:
+                    best = (cand_max, tx, ty, cross)
+            if best is None:
+                break
+            # the winner's score is the placed graph's new maximum degree
+            global_max_deg, tx, ty, cross = best
             base = len(pts)
             for li, (x, y) in enumerate(block.coords):
                 ax, ay = x + tx, y + ty
                 pts.append((ax, ay))
                 degrees.append(block_deg[li])
-                membership.append(bi)
                 grid.setdefault((int(ax * inv), int(ay * inv)), []).append(base + li)
             for u, v in block.graph.edges():
                 edges.append((base + u, base + v))
@@ -468,38 +435,33 @@ def assemble_instance(blocks: list[Block], cfg: GenConfig, rng: Random) -> Gener
                 degrees[base + li] += 1
                 degrees[gj] += 1
             roots_global.append(base + block.root)
-            block_max = max(degrees[base:])
-            if block_max > global_max_deg:
-                global_max_deg = block_max
-            for li, gj in cross:
-                if degrees[gj] > global_max_deg:
-                    global_max_deg = degrees[gj]
-        if not ok:
-            continue
-        total = len(pts)
-        perm = list(range(total))
-        rng.shuffle(perm)
-        new_coords: list[tuple[float, float] | None] = [None] * total
-        new_membership = [0] * total
-        for old in range(total):
-            new_coords[perm[old]] = pts[old]
-            new_membership[perm[old]] = membership[old]
-        new_edges = sorted(
-            (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-            for u, v in edges
-        )
-        graph = build_graph(total, new_edges, coords=new_coords)
-        instance = Instance(
-            graph=graph,
-            roots=tuple(perm[r] for r in roots_global),
-            capacity=cfg.capacity,
-            known_optimum=total,
-            meta={"alpha": cfg.alpha, "seed": cfg.seed, "radius": d},
-        )
-        return GeneratedInstance(instance, tuple(new_membership))
-    raise GenerationError(
-        f"could not place all {cfg.n} blocks with enough cross edges after "
-        f"{ASSEMBLY_RESTARTS} assembly passes")
+        else:
+            break  # every block placed
+    else:
+        raise GenerationError(
+            f"could not place all {cfg.n} blocks with enough cross edges after "
+            f"{ASSEMBLY_RESTARTS} assembly passes")
+    total = len(pts)
+    perm = list(range(total))
+    rng.shuffle(perm)
+    new_coords: list[tuple[float, float] | None] = [None] * total
+    new_membership = [0] * total
+    for old in range(total):
+        new_coords[perm[old]] = pts[old]
+        new_membership[perm[old]] = membership[old]
+    new_edges = sorted(
+        (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
+        for u, v in edges
+    )
+    graph = build_graph(total, new_edges, coords=new_coords)
+    instance = Instance(
+        graph=graph,
+        roots=tuple(perm[r] for r in roots_global),
+        capacity=cfg.capacity,
+        known_optimum=total,
+        meta={"alpha": cfg.alpha, "seed": cfg.seed, "radius": d},
+    )
+    return GeneratedInstance(instance, tuple(new_membership))
 
 
 def generate_instance(cfg: GenConfig) -> GeneratedInstance:

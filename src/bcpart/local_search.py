@@ -323,7 +323,6 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
     if trace is not None:
         trace.append((1, best))
     k = instance.subgraph_count
-    n = instance.graph.node_count
     roots = instance.roots
     # the incumbent, kept in place: owner plus one member list per label
     members: list[list[int]] = [[] for _ in range(k)]
@@ -339,10 +338,6 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
     memo = {}
     stagnation = 0
     while generated < config.max_iterations and stagnation < config.stagnation_limit:
-        if best == n:
-            break
-        if all(s >= instance.capacity for s in sizes):
-            break
         m = rng.randint(2, config.regrow_size)
         pick = select_regrow_set(instance, neighbors, sizes, hits, m, mode, config, rng,
                                  memo)

@@ -433,6 +433,20 @@ def test_non_finite_alpha_gives_json_exit_2_before_sampling(alpha, tmp_path, cap
     assert "alpha must be finite" in json.loads(stderr)["error"]
 
 
+@pytest.mark.parametrize("n, m", [(1, 100_001), (2_000_000, 3)])
+def test_oversized_generate_gives_json_exit_2_before_sampling(n, m, tmp_path, capsys,
+                                                              monkeypatch):
+    def sampled(cfg):
+        raise AssertionError("generation started")
+    monkeypatch.setattr("bcpart.cli.generate_instance", sampled)
+    out = tmp_path / "i.json"
+    code, stdout, stderr = run_cli(capsys, "generate", "--n", str(n), "--m", str(m),
+                                   "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert "100000 nodes" in json.loads(stderr)["error"]
+    assert not out.exists()
+
+
 # the file-reading subcommands and the files each one reads
 READS = {"solve": ("instance",), "oracle": ("instance",),
          "verify": ("instance", "solution"), "bench": ("spec",)}

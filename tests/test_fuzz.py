@@ -25,7 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bcpart import instance_from_json, run_bench, solution_from_json
-from bcpart.bench import MAX_INSTANCES_PER_PAIR, MAX_NODES
+from bcpart.bench import MAX_INSTANCES_PER_PAIR
+from bcpart.generate import MAX_NODES
 from bcpart.cli import main
 
 TRIANGLE = {"nodes": [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 1.0, "y": 0.0},

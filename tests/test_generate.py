@@ -8,7 +8,7 @@ from bcpart import (GenConfig, GenerationError, brute_force_optimum,
                     certificate_solution, disc_radius, generate_instance,
                     instance_to_json, is_biconnected, reduce_mpgsd_star,
                     verify_solution)
-from bcpart.generate import GAMMA, generate_block
+from bcpart.generate import GAMMA, MAX_NODES, generate_block
 from oracles import best_subset_sum
 
 
@@ -164,6 +164,13 @@ def test_gen_config_validation():
     for name, value in wrong_types:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             GenConfig(**{"n": 1, "capacity": 5, "alpha": 2.0, name: value})
+    # more than MAX_NODES nodes in all are refused before any sampling;
+    # exactly MAX_NODES are allowed
+    for n, capacity in ((1, MAX_NODES + 1), (MAX_NODES // 3 + 1, 3), (2_000_000, 3)):
+        with pytest.raises(ValueError, match=f"at most {MAX_NODES} nodes"):
+            GenConfig(n=n, capacity=capacity, alpha=2.0)
+    cfg = GenConfig(n=1_000, capacity=100, alpha=2.0)
+    assert cfg.n * cfg.capacity == MAX_NODES
 
 
 def test_reduction_example_values():

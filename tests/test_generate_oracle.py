@@ -2,8 +2,8 @@
 recheck-every-removal, probe-every-trial references (tests/oracles.py).
 
 The trim is compared on the bi-connected components of random disc
-graphs, and its neighbour test, separator search and refusals from
-remembered separation pairs against the definition of bi-connectivity.
+graphs, and its removal test and refusals from remembered separation
+pairs against the definition of bi-connectivity.
 The block sampler is compared alone, down to the edge lists it builds its
 graphs from, and the whole generator, draws included, is compared by
 running it once with the library's functions and once with the references.
@@ -119,13 +119,19 @@ def test_trim_matches_reference(seed, count, scale, data):
     assert gen._trim_to_size(g, comp, target, pts) == ref_trim_to_size(g, comp, target, pts)
 
 
+def _unreached(*args):
+    raise AssertionError("v's neighbours alone should have settled the removal")
+
+
 @CASES
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(4, 50),
        radius=st.floats(0.12, 0.5))
 def test_neighbour_verdict_is_exact_and_covers_bi_connected_neighbours(seed, count, radius):
-    # every removal from every bi-connected component S of 4 or more nodes:
-    # a verdict must equal the definition, and v's neighbours being
-    # bi-connected among themselves (the test it widens) must give one
+    # every removal from every bi-connected component S of 4 or more nodes
+    # in dense disc graphs: the removal test must equal the definition, and
+    # v's neighbours being bi-connected among themselves (the test it
+    # widens) must accept from the neighbours alone, with neither the
+    # separator search nor the whole-set recheck
     g, _pts, comps = _disc_components(seed, count, radius)
     for comp in comps:
         if len(comp) < 4:
@@ -133,12 +139,13 @@ def test_neighbour_verdict_is_exact_and_covers_bi_connected_neighbours(seed, cou
         for v in sorted(comp):
             rest = comp - {v}
             near = rest.intersection(g.adjacency[v])
-            verdict = gen._neighbour_walk(g, rest, v)[0]
-            if verdict is not None:
-                assert verdict == ref_biconnected(g, rest), (sorted(comp), v)
+            pair = gen._separator(g, rest, v)
+            assert (pair is None) == ref_biconnected(g, rest), (sorted(comp), v)
             if (len(near) >= 3 and ref_biconnected(g, near)
                     and all(len(rest.intersection(g.adjacency[w])) >= 2 for w in near)):
-                assert verdict is True, (sorted(comp), v)
+                with patch.object(gen, "_stray_component", _unreached), \
+                        patch.object(gen, "is_biconnected", _unreached):
+                    assert gen._separator(g, rest, v) is None, (sorted(comp), v)
 
 
 def _separates(g, rest, u, side):
@@ -155,21 +162,16 @@ def _separates(g, rest, u, side):
 def test_separator_is_exact(seed, count, scale):
     # every removal from every bi-connected component S of 4 or more
     # nodes, in sparse disc graphs where near often splits across T: the
-    # separator search settles what the neighbour test leaves open as the
-    # definition does, and every refusal names a separation pair {v, u}
-    # of S with its smaller side
+    # removal test settles every removal as the definition does, and every
+    # refusal names a separation pair {v, u} of S with its smaller side
     g, _pts, comps = _sparse_components(seed, count, scale)
     for comp in comps:
         if len(comp) < 4:
             continue
         for v in sorted(comp):
             rest = comp - {v}
-            verdict = gen._neighbour_walk(g, rest, v)[0]
             pair = gen._separator(g, rest, v)
-            if verdict is None:
-                assert (pair is None) == ref_biconnected(g, rest), (sorted(comp), v)
-            else:
-                assert (pair is None) == verdict, (sorted(comp), v)
+            assert (pair is None) == ref_biconnected(g, rest), (sorted(comp), v)
             if pair is not None:
                 u, side = pair
                 assert _separates(g, rest, u, side), (sorted(comp), v, pair)
@@ -255,7 +257,8 @@ def test_placement_skip_is_exact(d, data):
             dx, dy = x - ox, y - oy
             if dx * dx + dy * dy <= d2:
                 within.add((li, j))
-    cross = gen._probe_cross(abs_coords, grid, pts, d2, inv)
+    cross = [(li, j) for li, (x, y) in enumerate(abs_coords)
+             for j in gen._near(grid, pts, x, y, d2, inv)]
     assert sorted(cross) == sorted(within)
     if not gen._may_touch(grid, inv, tx, ty, box):
         assert cross == []
