@@ -44,13 +44,15 @@ MAX_BATCHES_PER_BOX = 16        # point batches per sampling box
 # ten times the paper's largest instance (100 x 100 nodes); bounds a
 # generated instance's n * M and the reduction's node count
 MAX_NODES = 100_000
+# ten times the paper's largest M; one block costs about M^2 or more
+MAX_CAPACITY = 1_000
 
 
 @dataclass(frozen=True)
 class GenConfig:
     """What a generated instance depends on besides the module constants
-    above: n blocks of `capacity` nodes, at most MAX_NODES in all, the
-    disc radius's `alpha` and the RNG seed."""
+    above: n blocks of `capacity` nodes, at most MAX_CAPACITY each and
+    MAX_NODES in all, the disc radius's `alpha` and the RNG seed."""
 
     n: int                       # number of blocks / subgraphs
     capacity: int                # block size M
@@ -67,6 +69,8 @@ class GenConfig:
             raise ValueError("capacity must be >= 3 (blocks need a cycle)")
         if self.n * self.capacity > MAX_NODES:
             raise ValueError(f"n * capacity must be at most {MAX_NODES} nodes")
+        if self.capacity > MAX_CAPACITY:
+            raise ValueError(f"capacity must be at most {MAX_CAPACITY}")
         if check_finite(self.alpha, "alpha") <= 0:
             raise ValueError("alpha must be positive")
 

@@ -19,6 +19,8 @@ construction burst is one call.  Sibling claims are pruned in batches, in
 claim order.  ear_root and parent mean something only where dist is finite;
 an S node is at dist 0 and its own ear root.  Queues are FIFO and scans
 follow adjacency order, so runs are reproducible given the caller's RNG.
+A retired state restarts over the same graph in the nodes its tree reached,
+not in the O(n) it costs to build and free a state's node-indexed arrays.
 """
 
 from __future__ import annotations
@@ -38,38 +40,33 @@ class GrowthState:
     deterministic).  `owner`, shared by the states growing together, maps
     each node to the label of the subgraph holding it (-1 = free): this
     state may use u iff owner[u] in (-1, label); u is in S iff owner[u] ==
-    label.
+    label.  `touched` lists every node the tree ever reached, the only
+    entries of the arrays a growth writes, so a reuse resets just those.
     """
 
     __slots__ = ("graph", "root", "label", "capacity", "accept_prob", "parent", "children",
-                 "ear_root", "dist", "evaluate", "owner", "queue", "members")
+                 "ear_root", "dist", "evaluate", "owner", "queue", "members", "touched")
 
-    def __init__(self, graph: Graph, root: int, capacity: int, accept_prob: float,
-                 owner: list[int]):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.root = root
-        self.label = owner[root]
-        self.capacity = capacity
-        self.accept_prob = accept_prob
         n = graph.node_count
         self.parent = [-1] * n
-        self.children: dict[int, list[int]] = {}
         self.ear_root = [-1] * n
         self.dist = [INF] * n
         self.evaluate = bytearray([1]) * n
-        self.owner = owner
-        self.queue: deque[int] = deque()
-        self.members: list[int] = [root]
+        self.touched: list[int] = []
 
 
 def init_growth(g: Graph, root: int, capacity: int, accept_prob: float,
-                owner: list[int] | None = None) -> GrowthState:
+                owner: list[int] | None = None, spare: list | None = None) -> GrowthState:
     """Start a growth around `root`: S = {root}, every free neighbor
     becomes its own ear root at dist 0 and is queued in adjacency order.
 
     `owner` is the shared node -> label list (-1 = free); the state's label
     is owner[root], which must already be set.  Without it the state grows
-    alone: every node is free and the root gets label 0.
+    alone: every node is free and the root gets label 0.  A state popped
+    from `spare`, a list of retired states over g, is reset on its touched
+    nodes to equal a fresh one; one over another graph raises ValueError.
     """
     if not (0 <= root < g.node_count):
         raise ValueError(f"root {root} out of range")
@@ -82,15 +79,25 @@ def init_growth(g: Graph, root: int, capacity: int, accept_prob: float,
         owner[root] = 0
     if owner[root] == -1:
         raise ValueError(f"root {root} carries no label")
-    st = GrowthState(g, root, capacity, accept_prob, owner)
-    st.dist[root] = 0
-    st.ear_root[root] = root
+    st = spare.pop() if spare else GrowthState(g)
+    if st.graph is not g:
+        raise ValueError("spare state was grown over another graph")
+    parent, ear_root, dist, evaluate = st.parent, st.ear_root, st.dist, st.evaluate
+    for u in st.touched:
+        parent[u] = ear_root[u] = -1
+        dist[u] = INF
+        evaluate[u] = 1
+    st.root, st.label, st.capacity, st.accept_prob = root, owner[root], capacity, accept_prob
+    st.owner, st.children, st.queue, st.members = owner, {}, deque(), [root]
+    dist[root] = 0
+    ear_root[root] = root
     free = (-1, st.label)
     kids = [u for u in g.adjacency[root] if owner[u] in free]
     for u in kids:
-        st.dist[u] = 0
-        st.ear_root[u] = u
-        st.parent[u] = root
+        dist[u] = 0
+        ear_root[u] = u
+        parent[u] = root
+    st.touched = [root, *kids]
     st.queue.extend(kids)
     if kids:
         st.children[root] = kids
@@ -217,7 +224,7 @@ def grow(st: GrowthState, rng, limit: int = 1) -> int:
     adj = st.graph.adjacency
     parent, children, dist, ear_root = st.parent, st.children, st.dist, st.ear_root
     evaluate, owner, label = st.evaluate, st.owner, st.label
-    queue = st.queue
+    queue, reached = st.queue, st.touched.append
     popleft, push, draw = queue.popleft, queue.append, rng.random
     accept_prob = st.accept_prob
     size = len(st.members)
@@ -248,6 +255,7 @@ def grow(st: GrowthState, rng, limit: int = 1) -> int:
                     dist[w] = 1
                     evaluate[w] = 1
                     push(w)
+                    reached(w)
                     continue
                 rw = ear_root[w]
                 if rw == cur:
@@ -279,6 +287,7 @@ def grow(st: GrowthState, rng, limit: int = 1) -> int:
                         dist[w] = d + 1
                         evaluate[w] = 1
                         push(w)
+                        reached(w)
                         continue
                     rw = ear_root[w]
                     if rw == rc:

@@ -19,10 +19,11 @@ regrow_partial grows each candidate in that owner list: it writes -1 over
 the chosen subgraphs' members, regrows them, and reads the candidate's
 objective off the claim log (the incumbent's, minus the freed members, plus
 the roots and the claims).  A worse candidate is undone from the same log,
-so a candidate costs the regrown subgraphs, not n.  Only an accepted one
-updates the member lists, sizes and free nodes, and build_neighbor_graph
-then derives again only what the relabelled nodes can reach.  The Solution
-is built once, when the search returns.
+so a candidate costs the regrown subgraphs, not n (its growth states are
+retired ones, reset where they reached).  Only an accepted one updates the
+member lists, sizes and free nodes, and build_neighbor_graph then derives
+again only what the relabelled nodes can reach.  The Solution is built
+once, when the search returns.
 
 GROW-N RNG contract: each walk attempt makes one draw,
 rng.randrange(len(seeds)), to pick its seed among the non-full subgraphs in
@@ -270,8 +271,8 @@ def select_regrow_set(instance: Instance, neighbors: list[tuple[int, ...]],
 
 
 def regrow_partial(instance: Instance, owner: list[int], members: list[list[int]],
-                   pick, incumbent: int, config: SolverConfig,
-                   rng: Random) -> tuple[int, list[int]]:
+                   pick, incumbent: int, config: SolverConfig, rng: Random,
+                   spare: list | None = None) -> tuple[int, list[int]]:
     """Dissolve the subgraphs in `pick` and regrow them in place over their
     old nodes plus all unassigned nodes; every other label stays.
 
@@ -281,6 +282,7 @@ def regrow_partial(instance: Instance, owner: list[int], members: list[list[int]
     least as good as the incumbent is left in `owner`; a worse one is undone
     (its claims freed, the old members relabelled; they include the roots),
     so `owner` is the incumbent again.  `members` is never written.
+    `spare` recycles growth states as in _grow_parallel.
     """
     labels = sorted(pick)
     if not labels:
@@ -291,7 +293,7 @@ def regrow_partial(instance: Instance, owner: list[int], members: list[list[int]
         freed += len(nodes)
         for u in nodes:
             owner[u] = -1
-    claims = _grow_parallel(instance, owner, labels, config, rng)
+    claims = _grow_parallel(instance, owner, labels, config, rng, spare)
     value = incumbent - freed + len(labels) + len(claims)
     if value < incumbent:
         for u in claims:
@@ -314,7 +316,9 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
         raise ValueError(f"unknown regrow mode: {mode}")
     rng = Random(config.seed)
     t0 = time.perf_counter()
-    first = generate_solution(instance, config, rng)
+    spare: list = []    # retired growth states, reused by every candidate
+    first = generate_solution(instance, config, rng, spare)
+    del spare[config.regrow_size:]     # no candidate regrows more labels
     owner = list(first.assignment)
     best = first.objective
     generated = 1
@@ -343,7 +347,7 @@ def local_search(instance: Instance, config: SolverConfig, mode: str,
                                  memo)
         if pick is None:
             break
-        value, claims = regrow_partial(instance, owner, members, pick, best, config, rng)
+        value, claims = regrow_partial(instance, owner, members, pick, best, config, rng, spare)
         generated += 1
         if value >= best:
             if value > best:

@@ -14,7 +14,8 @@ subgraph retires once its queue runs dry or it is full.
 The claim log is also what a caller gets back: the grown subgraphs are
 exactly their roots plus the logged nodes, so local search reads the
 candidate's objective and its new member lists from it without a scan of
-the whole owner list.
+the whole owner list.  Its growth states can come from, and go back to, a
+list of retired ones, so that a call need not allocate O(n) arrays.
 
 RNG consumption order per outer step: burst length, subgraph pick, then
 one draw per valid ear found while growing.  Identical seeds give
@@ -81,7 +82,7 @@ def objective(assignment) -> int:
 
 
 def _grow_parallel(instance: Instance, owner: list[int], labels, config: SolverConfig,
-                   rng) -> list[int]:
+                   rng, spare: list | None = None) -> list[int]:
     """Grow subgraph L around instance.roots[L] for every L in `labels`.
 
     `owner` maps each node to the label of the subgraph holding it, -1 when
@@ -89,13 +90,14 @@ def _grow_parallel(instance: Instance, owner: list[int], labels, config: SolverC
     nodes only; every node holding another label is off limits.  `owner` is
     updated in place and becomes the new assignment.  Returns the claim
     log: every node the ears took, in claim order, roots excluded, each
-    now holding its subgraph's label in `owner`.
+    now holding its subgraph's label in `owner`.  The states come from
+    `spare` while it has some (see init_growth) and go back to it.
     """
     roots = instance.roots
     for label in labels:
         owner[roots[label]] = label
-    states = [init_growth(instance.graph, roots[label], instance.capacity, config.p0, owner)
-              for label in labels]
+    states = [init_growth(instance.graph, roots[label], instance.capacity, config.p0, owner,
+                          spare) for label in labels]
     claimed: list[int] = []       # every node an ear took, in claim order
     seen = [0] * len(states)      # per state: log length its tree has pruned
     expandable = list(range(len(states)))
@@ -110,13 +112,16 @@ def _grow_parallel(instance: Instance, owner: list[int], labels, config: SolverC
         # only this state claimed during its burst: it needs no prune of them
         claimed += st.members[start:]
         seen[i] = len(claimed)
+    if spare is not None:
+        spare += states
     return claimed
 
 
-def generate_solution(instance: Instance, config: SolverConfig, rng) -> Solution:
+def generate_solution(instance: Instance, config: SolverConfig, rng,
+                      spare: list | None = None) -> Solution:
     """Build one full solution by parallel randomized growth."""
     owner = [-1] * instance.graph.node_count
-    _grow_parallel(instance, owner, range(instance.subgraph_count), config, rng)
+    _grow_parallel(instance, owner, range(instance.subgraph_count), config, rng, spare)
     return Solution(owner)
 
 

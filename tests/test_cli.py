@@ -447,6 +447,26 @@ def test_oversized_generate_gives_json_exit_2_before_sampling(n, m, tmp_path, ca
     assert not out.exists()
 
 
+def test_over_capacity_generate_and_bench_give_json_exit_2_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    # one block costs about M^2 or more, so M is bounded on its own
+    def sampled(cfg):
+        raise AssertionError("generation started")
+    monkeypatch.setattr("bcpart.cli.generate_instance", sampled)
+    monkeypatch.setattr("bcpart.bench.generate_instance", sampled)
+    out = tmp_path / "i.json"
+    code, stdout, stderr = run_cli(capsys, "generate", "--n", "1", "--m", "1001",
+                                   "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert "capacity must be at most 1000" in json.loads(stderr)["error"]
+    assert not out.exists()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "pairs": [[2, 5], [1, 1001]]}))
+    code, stdout, stderr = run_cli(capsys, "bench", "--spec", str(spec), "--no-timing")
+    assert code == 2 and stdout == ""
+    assert "capacity must be at most 1000" in json.loads(stderr)["error"]
+
+
 # the file-reading subcommands and the files each one reads
 READS = {"solve": ("instance",), "oracle": ("instance",),
          "verify": ("instance", "solution"), "bench": ("spec",)}

@@ -119,3 +119,73 @@ def test_ear_roots_reachable_after_every_ear_and_prune(seed, k, capacity, p0):
         owner, chosen = reset_labels(built, instance, s_pick)
         _grow_parallel(instance, owner, chosen, config, Random(s_regrow))
     assert checks[0] >= 2   # at least one prune batch per run
+
+
+def assert_fresh(state, g, root, capacity, p0, owner):
+    """`state` equals what init_growth builds from fresh arrays."""
+    fresh = growth.init_growth(g, root, capacity, p0, list(owner))
+    for name in ("graph", "root", "label", "capacity", "accept_prob", "parent", "children",
+                 "ear_root", "dist", "evaluate", "members", "owner"):
+        assert getattr(state, name) == getattr(fresh, name), name
+    assert list(state.queue) == list(fresh.queue)
+
+
+@CASES
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12), capacity=st.integers(3, 15),
+       p0=st.sampled_from([0.0, 0.3, 0.5, 1.0]), rounds=st.integers(1, 6))
+def test_recycled_states_match_fresh_states(seed, k, capacity, p0, rounds):
+    # a construction, then `rounds` regrowths of random label sets, each
+    # from the last result, once with fresh states and once through one
+    # spare list: every call leaves the same owner list, claim log and RNG
+    instance, config, (s_build, s_pick, s_regrow) = random_case(seed, k, capacity, p0)
+    g, n = instance.graph, instance.graph.node_count
+    init, recycled = solver.init_growth, [0]
+
+    def checked_init(g, root, capacity, p0, owner, spare):
+        popped = spare[-1] if spare else None
+        state = init(g, root, capacity, p0, owner, spare)
+        if popped is not None:
+            assert_fresh(state, g, root, capacity, p0, owner)
+            assert state is popped
+            recycled[0] += 1
+        return state
+
+    plain, pooled, spare, largest, expected = [-1] * n, [-1] * n, [], k, 0
+    labels = range(k)
+    for r in range(rounds + 1):
+        expected += min(len(labels), len(spare))
+        rng, pool_rng = Random(s_regrow + r), Random(s_regrow + r)
+        claims = _grow_parallel(instance, plain, labels, config, rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "init_growth", checked_init)
+            pool_claims = _grow_parallel(instance, pooled, labels, config, pool_rng, spare)
+        assert pooled == plain and pool_claims == claims
+        assert rng.getstate() == pool_rng.getstate()
+        # the pool never holds more states than the largest label set
+        largest = max(largest, len(labels))
+        assert len(spare) == largest and all(s.graph is g for s in spare)
+        owner, labels = reset_labels(plain, instance, s_pick + r)
+        plain[:], pooled[:] = owner, list(owner)
+    assert recycled[0] == expected > 0
+
+
+def test_spare_state_from_another_graph_is_refused():
+    rng = Random(5)
+    g, other = random_graph(rng, 8, 0.6), random_graph(rng, 8, 0.6)
+    spare = [growth.init_growth(other, 0, 4, 1.0)]
+    with pytest.raises(ValueError, match="another graph"):
+        growth.init_growth(g, 0, 4, 1.0, None, spare)
+
+
+def test_spare_state_is_reset_in_place():
+    # a grown state is taken from `spare` and equals a fresh state again
+    rng = Random(5)
+    g = random_graph(rng, 8, 0.6)
+    state = growth.init_growth(g, 0, 4, 1.0)
+    while growth.grow(state, rng):
+        pass
+    assert len(state.touched) > 1
+    spare = [state]
+    again = growth.init_growth(g, 1, 4, 1.0, None, spare)
+    assert again is state and not spare
+    assert_fresh(again, g, 1, 4, 1.0, [-1 if u != 1 else 0 for u in range(8)])

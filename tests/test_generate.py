@@ -8,7 +8,7 @@ from bcpart import (GenConfig, GenerationError, brute_force_optimum,
                     certificate_solution, disc_radius, generate_instance,
                     instance_to_json, is_biconnected, reduce_mpgsd_star,
                     verify_solution)
-from bcpart.generate import GAMMA, MAX_NODES, generate_block
+from bcpart.generate import GAMMA, MAX_CAPACITY, MAX_NODES, generate_block
 from oracles import best_subset_sum
 
 
@@ -171,6 +171,12 @@ def test_gen_config_validation():
             GenConfig(n=n, capacity=capacity, alpha=2.0)
     cfg = GenConfig(n=1_000, capacity=100, alpha=2.0)
     assert cfg.n * cfg.capacity == MAX_NODES
+    # one block of more than MAX_CAPACITY nodes is refused too; exactly
+    # MAX_CAPACITY is allowed
+    for n in (1, 50):
+        with pytest.raises(ValueError, match=f"capacity must be at most {MAX_CAPACITY}"):
+            GenConfig(n=n, capacity=MAX_CAPACITY + 1, alpha=2.0)
+    assert GenConfig(n=100, capacity=MAX_CAPACITY, alpha=2.0).capacity == MAX_CAPACITY
 
 
 def test_reduction_example_values():

@@ -271,8 +271,8 @@ def regrown(inst, sol, picked, config, rng):
     owner, members, _ = working_copy(inst, sol)
     grow_parallel, seen = ls._grow_parallel, []
 
-    def recorded(instance, owner, labels, config, rng):
-        claims = grow_parallel(instance, owner, labels, config, rng)
+    def recorded(instance, owner, labels, config, rng, spare):
+        claims = grow_parallel(instance, owner, labels, config, rng, spare)
         seen.append(tuple(owner))
         return claims
 

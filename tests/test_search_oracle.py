@@ -52,9 +52,9 @@ def test_local_search_matches_reference(seed, k, capacity, mode, cap):
         calls["build"] += 1
         return graph
 
-    def checked_regrow(instance, owner, members, pick, incumbent, config, rng):
+    def checked_regrow(instance, owner, members, pick, incumbent, config, rng, spare):
         before = list(owner)
-        value, claims = regrow(instance, owner, members, pick, incumbent, config, rng)
+        value, claims = regrow(instance, owner, members, pick, incumbent, config, rng, spare)
         if value < incumbent:
             assert owner == before
             calls["undone"] += 1
